@@ -170,7 +170,7 @@ let materialize_props graph cid intended =
       let local = Klass.has_local_prop k p.name in
       if (not inherited) && not local then
         let p = if Oid.equal p.origin cid then p else Prop.promote p in
-        Klass.add_local_prop k p)
+        Schema_graph.add_local_prop graph cid p)
     intended
 
 let integrate db cid =

@@ -459,8 +459,7 @@ let delete_edge db view ~sup_name ~sub_name ~connected_to =
             (* nothing to restore: v' is just the difference, under v's
                primed name *)
             let v' = d in
-            let k = Schema_graph.find_exn graph v' in
-            k.Klass.name <- Ops.primed_name db vname;
+            Schema_graph.rename graph v' (Ops.primed_name db vname);
             v'
           | xs ->
             let x =
@@ -577,11 +576,11 @@ let add_class db view ~cls_name ~connected_to =
         | { Klass.kind = Klass.Base; _ } ->
           (* base anchor: the substituted class itself is the new class *)
           let x = List.assoc (Oid.to_int csup) subst in
-          (Schema_graph.find_exn graph x).Klass.name <- global_name;
+          Schema_graph.rename graph x global_name;
           x
         | _ ->
           let c = replay db ~subst ~basename:(cls_name ^ "$r") csup in
-          (Schema_graph.find_exn graph c).Klass.name <- global_name;
+          Schema_graph.rename graph c global_name;
           c
       in
       (* guaranteed subclass (Section 6.7.3): make the view edge real *)

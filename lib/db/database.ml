@@ -19,15 +19,20 @@ let reclassify_fuel = 4
 (* Per-object memo of select-predicate verdicts. An entry for a select
    class is the last value its predicate evaluated to for this object;
    entries are dropped when a dependency recorded in the Deps index
-   changes (attribute written, membership of an observed class changed),
-   and the whole memo is discarded on any schema change ([v_gen]).
-   [primed] means a full fixpoint has completed under this generation, so
-   a MISSING entry proves the object was not a member of the select's
-   source the last time memberships settled. *)
-type verdict_state = {
-  mutable v_gen : int;
-  mutable primed : bool;
-  verdicts : bool Oid.Tbl.t;
+   changes (attribute written, membership of an observed class changed).
+   [primed] means a full fixpoint has completed since the memo was
+   created, so a MISSING entry proves the object was not a member of the
+   select's source the last time memberships settled. *)
+type verdict_state = { mutable primed : bool; verdicts : bool Oid.Tbl.t }
+
+(* Everything the kernel derives from the schema. The whole record is
+   rebuilt at the first access after the schema epoch moves. *)
+type memos = {
+  order : cid list Lazy.t;  (* virtual classes, sources first *)
+  deps : Deps.t Lazy.t;
+  verdict_cache : verdict_state Oid.Tbl.t;
+  resolve_cache : (string, (cid * Prop.t) option) Hashtbl.t Oid.Tbl.t;
+  pred_cache : (Oid.t -> bool) Oid.Tbl.t;  (* compiled, by select cid *)
 }
 
 type t = {
@@ -37,17 +42,9 @@ type t = {
   stats : Stats.t;
   extents : Oid.Set.t ref Oid.Tbl.t;
   base_member : Oid.Set.t ref Oid.Tbl.t;  (* object -> base classes *)
-  mutable deriv_order : cid list option;  (* cache *)
   mutable listeners : (event -> unit) list;
   (* --- incremental reclassification engine --- *)
-  mutable deps : Deps.t option;  (* cache, keyed on graph version *)
-  mutable deps_version : int;
-  mutable cache_gen : int;  (* bumped when per-object caches must die *)
-  verdict_cache : verdict_state Oid.Tbl.t;
-  resolve_cache : (int * (string, (cid * Prop.t) option) Hashtbl.t) Oid.Tbl.t;
-  (* compiled select predicates, keyed by select cid; entries carry the
-     compile stamp they were built under (see [compile_stamp]) *)
-  pred_cache : (int * (Oid.t -> bool)) Oid.Tbl.t;
+  memos : memos Schema_graph.cell;
   mutable full_reclassify : bool;  (* oracle escape hatch *)
   formula_evals : int Atomic.t;  (* also bumped from worker domains *)
   mutable nonconverge_warned : bool;
@@ -91,89 +88,10 @@ let env_full_reclassify () =
   | Some ("1" | "true" | "yes") -> true
   | Some _ | None -> false
 
-let create () =
-  let heap = Heap.create () in
-  let graph = Schema_graph.create ~gen:(Heap.gen heap) in
-  let stats = Stats.create () in
-  let model = Slicing.create ~graph ~heap ~stats in
-  {
-    heap;
-    graph;
-    model;
-    stats;
-    extents = Oid.Tbl.create 64;
-    base_member = Oid.Tbl.create 256;
-    deriv_order = None;
-    listeners = [];
-    deps = None;
-    deps_version = -1;
-    cache_gen = 0;
-    verdict_cache = Oid.Tbl.create 256;
-    resolve_cache = Oid.Tbl.create 256;
-    pred_cache = Oid.Tbl.create 16;
-    full_reclassify = env_full_reclassify ();
-    formula_evals = Atomic.make 0;
-    nonconverge_warned = false;
-    nonconvergence_hook = default_nonconvergence_hook;
-    shared_read = false;
-  }
-
-let add_listener t f = t.listeners <- t.listeners @ [ f ]
-let notify t event = List.iter (fun f -> f event) t.listeners
-
-let graph t = t.graph
-let heap t = t.heap
-let model t = t.model
-let stats t = t.stats
-let root t = Schema_graph.root t.graph
-
-let formula_eval_count t = Atomic.get t.formula_evals
-let full_reclassify t = t.full_reclassify
-
-let set_full_reclassify t b =
-  if not (Bool.equal t.full_reclassify b) then begin
-    t.full_reclassify <- b;
-    (* verdict memos were not maintained while the oracle path ran *)
-    t.cache_gen <- t.cache_gen + 1
-  end
-
-let set_nonconvergence_hook t f = t.nonconvergence_hook <- f
-
-let warn_nonconvergence t o =
-  Metrics.incr m_nonconvergence;
-  if not t.nonconverge_warned then begin
-    t.nonconverge_warned <- true;
-    t.nonconvergence_hook o
-  end
-
-let extent_ref t cid =
-  match Oid.Tbl.find_opt t.extents cid with
-  | Some r -> r
-  | None ->
-    let r = ref Oid.Set.empty in
-    Oid.Tbl.replace t.extents cid r;
-    r
-
-let extent t cid = !(extent_ref t cid)
-let extent_list t cid = Oid.Set.elements (extent t cid)
-let extent_size t cid = Oid.Set.cardinal (extent t cid)
-
-let note_new_class t cid =
-  ignore (extent_ref t cid);
-  t.deriv_order <- None;
-  t.deps <- None
-
-let note_removed_class t cid =
-  Oid.Tbl.remove t.extents cid;
-  t.deriv_order <- None;
-  t.deps <- None
-
 (* Virtual classes topologically sorted by the derivation DAG (sources
    first). Base classes do not appear. *)
-let compute_derivation_order t =
-  let virtuals =
-    List.filter Klass.is_virtual (Schema_graph.classes t.graph)
-  in
+let compute_derivation_order graph =
+  let virtuals = List.filter Klass.is_virtual (Schema_graph.classes graph) in
   let pending = Oid.Tbl.create 16 in
   List.iter (fun (k : Klass.t) -> Oid.Tbl.replace pending k.cid k) virtuals;
   let order = ref [] in
@@ -192,34 +110,92 @@ let compute_derivation_order t =
   List.iter emit virtuals;
   List.rev !order
 
-let derivation_order t =
-  match t.deriv_order with
-  | Some o -> o
-  | None ->
-    let o = compute_derivation_order t in
-    t.deriv_order <- Some o;
-    o
+let fresh_memos graph () =
+  {
+    order = lazy (compute_derivation_order graph);
+    deps = lazy (Deps.compute graph);
+    verdict_cache = Oid.Tbl.create 256;
+    resolve_cache = Oid.Tbl.create 256;
+    pred_cache = Oid.Tbl.create 16;
+  }
 
-(* The dependency index, recomputed whenever the schema graph moved under
-   it. A recompute also retires every per-object cache: predicates,
-   resolution orders and carrier classes may all have changed. *)
-let deps t =
-  let v = Schema_graph.version t.graph in
-  match t.deps with
-  | Some d when t.deps_version = v -> d
-  | _ ->
-    let d = Deps.compute t.graph in
-    t.deps <- Some d;
-    t.deps_version <- v;
-    t.cache_gen <- t.cache_gen + 1;
-    d
+let make ~heap ~graph ~model ~stats =
+  {
+    heap;
+    graph;
+    model;
+    stats;
+    extents = Oid.Tbl.create 64;
+    base_member = Oid.Tbl.create 256;
+    listeners = [];
+    memos = Schema_graph.cell (fresh_memos graph);
+    full_reclassify = env_full_reclassify ();
+    formula_evals = Atomic.make 0;
+    nonconverge_warned = false;
+    nonconvergence_hook = default_nonconvergence_hook;
+    shared_read = false;
+  }
+
+let create () =
+  let heap = Heap.create () in
+  let graph = Schema_graph.create ~gen:(Heap.gen heap) in
+  let stats = Stats.create () in
+  make ~heap ~graph ~model:(Slicing.create ~graph ~heap ~stats) ~stats
+
+let memos t = Schema_graph.current t.graph t.memos
+
+(* Retire every per-object verdict memo: the next reclassification of
+   each object evaluates its predicates from scratch. *)
+let reset_verdicts t = Oid.Tbl.reset (memos t).verdict_cache
+
+let add_listener t f = t.listeners <- t.listeners @ [ f ]
+let notify t event = List.iter (fun f -> f event) t.listeners
+
+let graph t = t.graph
+let heap t = t.heap
+let model t = t.model
+let stats t = t.stats
+let root t = Schema_graph.root t.graph
+
+let formula_eval_count t = Atomic.get t.formula_evals
+let full_reclassify t = t.full_reclassify
+
+let set_full_reclassify t b =
+  if not (Bool.equal t.full_reclassify b) then begin
+    t.full_reclassify <- b;
+    (* verdict memos were not maintained while the oracle path ran *)
+    reset_verdicts t
+  end
+
+let set_nonconvergence_hook t f = t.nonconvergence_hook <- f
+
+let warn_nonconvergence t o =
+  Metrics.incr m_nonconvergence;
+  if not t.nonconverge_warned then begin
+    t.nonconverge_warned <- true;
+    t.nonconvergence_hook o
+  end
+
+let extent_ref t cid =
+  Oid.Tbl.find_or_add t.extents cid (fun _ -> ref Oid.Set.empty)
+
+let extent t cid = !(extent_ref t cid)
+let extent_list t cid = Oid.Set.elements (extent t cid)
+let extent_size t cid = Oid.Set.cardinal (extent t cid)
+
+(* Schema-derived state needs no invalidation here: the class's
+   registration moved the epoch. *)
+let note_new_class t cid = ignore (extent_ref t cid)
+let note_removed_class t cid = Oid.Tbl.remove t.extents cid
+let derivation_order t = Lazy.force (memos t).order
+let deps t = Lazy.force (memos t).deps
 
 (* Enter shared-read mode for a parallel region: worker domains will
    evaluate predicates against this database concurrently, so every
-   memoizing cache a read can touch must be either bypassed
-   ([resolve_prop] checks the flag) or warmed here on the coordinating
-   domain so worker lookups are pure hits — the schema-graph reachability
-   caches mutate on miss, as do the derivation order and Deps index. *)
+   memo a read can touch must be either bypassed ([resolve_prop] checks
+   the flag) or warmed here on the coordinating domain, so that worker
+   lookups are pure reads at the current epoch: the ancestor memo, the
+   derivation order and the Deps index. *)
 let with_shared_read t f =
   List.iter
     (fun (k : Klass.t) -> ignore (Schema_graph.ancestors t.graph k.Klass.cid))
@@ -230,19 +206,8 @@ let with_shared_read t f =
   Fun.protect ~finally:(fun () -> t.shared_read <- false) f
 
 let verdict_state t o =
-  match Oid.Tbl.find_opt t.verdict_cache o with
-  | Some vs when vs.v_gen = t.cache_gen -> vs
-  | Some vs ->
-    vs.v_gen <- t.cache_gen;
-    vs.primed <- false;
-    Oid.Tbl.reset vs.verdicts;
-    vs
-  | None ->
-    let vs =
-      { v_gen = t.cache_gen; primed = false; verdicts = Oid.Tbl.create 8 }
-    in
-    Oid.Tbl.replace t.verdict_cache o vs;
-    vs
+  Oid.Tbl.find_or_add (memos t).verdict_cache o (fun _ ->
+      { primed = false; verdicts = Oid.Tbl.create 8 })
 
 let base_membership t o =
   match Oid.Tbl.find_opt t.base_member o with
@@ -313,16 +278,10 @@ let resolve_prop_uncached t o name =
 (* Memoized per object: formula evaluation otherwise re-resolves every
    property linearly over the member classes. The memo is keyed on the
    membership signature implicitly — any membership change for the object
-   drops its table, any schema change retires it via [cache_gen]. The
+   drops its table, any schema change retires it with the epoch. The
    ambiguous case raises and is deliberately not cached. *)
 let resolve_tbl t o =
-  ignore (deps t);
-  match Oid.Tbl.find_opt t.resolve_cache o with
-  | Some (g, tbl) when g = t.cache_gen -> tbl
-  | _ ->
-    let tbl = Hashtbl.create 8 in
-    Oid.Tbl.replace t.resolve_cache o (t.cache_gen, tbl);
-    tbl
+  Oid.Tbl.find_or_add (memos t).resolve_cache o (fun _ -> Hashtbl.create 8)
 
 let resolve_prop t o name =
   if t.shared_read then
@@ -372,14 +331,6 @@ let holds t o e =
 (* ------------------------------------------------------------------ *)
 (* Compiled predicate evaluation                                       *)
 (* ------------------------------------------------------------------ *)
-
-(* Anything compiled against this database is valid only while the stamp
-   is unchanged. The graph version covers every Tsem-mediated evolution
-   (they all register or remove classes); [cache_gen] additionally covers
-   direct schema surgery, which mutates class records in place and then
-   bumps it via [reclassify_all]. Both components only grow, so their sum
-   changes whenever either does. *)
-let compile_stamp t = Schema_graph.version t.graph + t.cache_gen
 
 (* Binder for Expr_compile: names are resolved once at compile time.
 
@@ -435,13 +386,7 @@ let compile_pred t pred =
    interpreted [eval_pred] so differential tests compare compiled against
    interpreted evaluation. *)
 let compiled_select_pred t cid pred =
-  let stamp = compile_stamp t in
-  match Oid.Tbl.find_opt t.pred_cache cid with
-  | Some (s, fn) when s = stamp -> fn
-  | _ ->
-    let fn = compile_pred t pred in
-    Oid.Tbl.replace t.pred_cache cid (stamp, fn);
-    fn
+  Oid.Tbl.find_or_add (memos t).pred_cache cid (fun _ -> compile_pred t pred)
 
 (* ------------------------------------------------------------------ *)
 (* Membership fixpoint                                                  *)
@@ -528,7 +473,7 @@ let sync_extents t o membership =
    resolution memo honest: a membership change invalidates it. *)
 let set_membership_sync t o next =
   Slicing.set_membership t.model o (Oid.Set.elements next);
-  Oid.Tbl.remove t.resolve_cache o
+  Oid.Tbl.remove (memos t).resolve_cache o
 
 let delta_events t o ~before ~after =
   let added = Oid.Set.diff after before in
@@ -647,7 +592,6 @@ let run_incremental_fixpoint t vs o =
    STRUCTURE changed (base classes moved) — cached verdicts stay valid,
    but the fixpoint must run. *)
 let reclassify_incr t o dirty =
-  ignore (deps t);
   let vs = verdict_state t o in
   let must_run =
     match dirty with
@@ -700,7 +644,7 @@ type pre_round = {
 
 (* Workers must never hit the compile-on-miss branch of
    [compiled_select_pred]: build every select's closure on the
-   coordinator first, so in-region lookups are read-only stamp hits. *)
+   coordinator first, so in-region lookups are read-only hits. *)
 let precompile_selects t =
   List.iter
     (fun cid ->
@@ -721,9 +665,8 @@ let pre_round t o =
   let base_closure = isa_closure t (base_membership t o) in
   let order = derivation_order t in
   let shared =
-    match Oid.Tbl.find_opt t.verdict_cache o with
-    | Some vs when vs.v_gen = t.cache_gen -> Some vs.verdicts
-    | Some _ | None -> None
+    Option.map (fun vs -> vs.verdicts)
+      (Oid.Tbl.find_opt (memos t).verdict_cache o)
   in
   let local = Oid.Tbl.create 8 in
   let fresh = ref [] in
@@ -798,14 +741,11 @@ let reclassify_many t os =
       pres
   end
 
-(* The recompute-the-world entry point. Direct (destructive) schema
-   surgery mutates class properties without going through the graph's
-   versioned mutators, so every derived cache is dropped first. *)
+(* The recompute-the-world entry point: it starts from cold verdict memos,
+   so it also repairs memberships that went stale behind the kernel's
+   back (slot writes straight to the heap). *)
 let reclassify_all t =
-  t.deriv_order <- None;
-  t.deps <- None;
-  t.deps_version <- -1;
-  t.cache_gen <- t.cache_gen + 1;
+  reset_verdicts t;
   reclassify_many t (objects t)
 
 (* ------------------------------------------------------------------ *)
@@ -886,8 +826,9 @@ let destroy_object t o =
         | None -> ())
       (member_classes t o);
   Oid.Tbl.remove t.base_member o;
-  Oid.Tbl.remove t.verdict_cache o;
-  Oid.Tbl.remove t.resolve_cache o;
+  let m = memos t in
+  Oid.Tbl.remove m.verdict_cache o;
+  Oid.Tbl.remove m.resolve_cache o;
   Slicing.destroy_object t.model o;
   notify t (Object_destroyed o)
 
@@ -925,30 +866,8 @@ let remove_base_membership t o cid =
 
 let restore ~heap ~graph ~bases =
   let stats = Stats.create () in
-  let model = Slicing.rebuild ~graph ~heap ~stats in
-  let t =
-    {
-      heap;
-      graph;
-      model;
-      stats;
-      extents = Oid.Tbl.create 64;
-      base_member = Oid.Tbl.create 256;
-      deriv_order = None;
-      listeners = [];
-      deps = None;
-      deps_version = -1;
-      cache_gen = 0;
-      verdict_cache = Oid.Tbl.create 256;
-      resolve_cache = Oid.Tbl.create 256;
-      pred_cache = Oid.Tbl.create 16;
-      full_reclassify = env_full_reclassify ();
-      formula_evals = Atomic.make 0;
-      nonconverge_warned = false;
-      nonconvergence_hook = default_nonconvergence_hook;
-      shared_read = false;
-    }
-  in
+  let t = make ~heap ~graph ~model:(Slicing.rebuild ~graph ~heap ~stats) ~stats in
+  List.iter (note_new_class t) (Schema_graph.cids graph);
   List.iter
     (fun (o, cids) ->
       Oid.Tbl.replace t.base_member o

@@ -25,7 +25,8 @@ val restore :
 (** Reassemble a database from catalog parts: a loaded heap, a loaded
     schema graph (sharing the heap's OID generator) and the per-object
     explicit base memberships. The object model is rebuilt by scanning
-    the heap; extents are re-derived from the restored memberships. *)
+    the heap; every class gets an extent, re-derived from the restored
+    memberships. *)
 
 val graph : t -> Tse_schema.Schema_graph.t
 val heap : t -> Tse_store.Heap.t
@@ -67,6 +68,9 @@ val reclassify : t -> Tse_store.Oid.t -> unit
     synchronize implementation objects and extents. *)
 
 val reclassify_all : t -> unit
+(** Reclassify every object, starting from cold verdict memos: every
+    select predicate is evaluated afresh, so memberships that went stale
+    behind the kernel's back (direct heap writes) are repaired too. *)
 
 val reclassify_many : t -> Tse_store.Oid.t list -> unit
 (** Reclassify every object in the list, in list order.  Equivalent to
@@ -80,9 +84,10 @@ val reclassify_many : t -> Tse_store.Oid.t list -> unit
 
 val with_shared_read : t -> (unit -> 'a) -> 'a
 (** Run [f] in shared-read mode: concurrent read-only evaluation from
-    other domains is safe for its duration.  Warms every memoizing cache
-    a read can touch (schema reachability, derivation order, Deps) and
-    switches [resolve_prop] memoization to bypass.  The caller must not
+    other domains is safe for its duration.  Warms every schema-epoch memo
+    a read can touch (ancestors, derivation order, Deps) so that worker
+    lookups are pure reads, and switches [resolve_prop] memoization to
+    bypass.  The caller must not
     mutate the database, and must not return lazily-evaluated state,
     until the region ends. *)
 
@@ -152,18 +157,12 @@ val holds : t -> Tse_store.Oid.t -> Tse_schema.Expr.t -> bool
     conjunct ordering, fast-path attribute getters bound against the
     current schema) and the resulting closure is reused per object. *)
 
-val compile_stamp : t -> int
-(** Validity stamp for anything compiled against this database's schema
-    state. Strictly increases on every schema evolution (graph version)
-    and on direct schema surgery / cache retirement ([reclassify_all]);
-    callers caching compiled artifacts must discard them when the stamp
-    they were built under no longer matches. *)
-
 val compile_pred : t -> Tse_schema.Expr.t -> Tse_store.Oid.t -> bool
 (** Compile a predicate into a per-object membership test with exactly
     the {!holds} semantics (evaluation errors absorbed into [false]).
     The closure reads live object state but binds schema facts at compile
-    time — it must be discarded when {!compile_stamp} changes. *)
+    time — it must be discarded when the schema epoch
+    ({!Tse_schema.Schema_graph.version}) moves. *)
 
 val compiled_binder : t -> Tse_store.Oid.t Tse_schema.Expr_compile.binder
 (** The name binder {!compile_pred} uses (fast-path attribute getters,
@@ -195,8 +194,8 @@ val add_listener : t -> (event -> unit) -> unit
 (** {2 Registration hooks} *)
 
 val note_new_class : t -> cid -> unit
-(** Tell the kernel a class was added to the graph (invalidates the cached
-    derivation order and creates an empty extent). *)
+(** Tell the kernel a class was added to the graph: creates its empty
+    extent. Schema-derived memos need no notice; the epoch moved. *)
 
 val note_removed_class : t -> cid -> unit
 

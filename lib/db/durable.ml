@@ -8,7 +8,6 @@ module Recovery = Tse_store.Recovery
 module Failpoint = Tse_store.Failpoint
 module Schema_graph = Tse_schema.Schema_graph
 module Schema_codec = Tse_schema.Schema_codec
-module Klass = Tse_schema.Klass
 module Metrics = Tse_obs.Metrics
 module Trace = Tse_obs.Trace
 
@@ -271,9 +270,6 @@ let open_dir ?policy ~dir () =
       bases_tbl []
   in
   let database = Database.restore ~heap ~graph ~bases in
-  List.iter
-    (fun (k : Klass.t) -> Database.note_new_class database k.cid)
-    (Schema_graph.classes graph);
   let seq = max snap_seq report.Recovery.last_seq in
   let t =
     {

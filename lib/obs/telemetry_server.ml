@@ -181,6 +181,16 @@ let route ts path =
     http_response "tse telemetry: GET /metrics | /series | /rates\n"
   | _ -> http_response ~status:"404 Not Found" "not found\n"
 
+(* Offset just past the blank line ending an HTTP header, if any. *)
+let header_end s =
+  let rec find i =
+    if i + 3 >= String.length s then None
+    else if s.[i] = '\r' && s.[i + 1] = '\n' && s.[i + 2] = '\r'
+            && s.[i + 3] = '\n' then Some (i + 4)
+    else find (i + 1)
+  in
+  find 0
+
 let read_request fd =
   (* GET requests are tiny; read until the blank line or a small cap. *)
   let buf = Buffer.create 256 in
@@ -192,14 +202,7 @@ let read_request fd =
       | 0 -> ()
       | n ->
         Buffer.add_subbytes buf chunk 0 n;
-        let s = Buffer.contents buf in
-        let rec has_blank i =
-          if i + 3 >= String.length s then false
-          else if s.[i] = '\r' && s.[i + 1] = '\n' && s.[i + 2] = '\r'
-                  && s.[i + 3] = '\n' then true
-          else has_blank (i + 1)
-        in
-        if not (has_blank 0) then loop ()
+        if header_end (Buffer.contents buf) = None then loop ()
       | exception Unix.Unix_error (Unix.EINTR, _, _) -> loop ()
     end
   in
@@ -227,16 +230,27 @@ let write_all fd s =
   in
   go 0
 
+let conn_timeout_s = 2.0
+
+(* The listener serves one connection at a time, so every socket call on
+   a client gets a deadline: a client that sends nothing, or stops
+   reading, is dropped when it passes, not waited on forever. *)
 let handle_conn ts fd =
   Fun.protect
     ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
     (fun () ->
-      match read_request fd with
-      | "" -> ()
-      | req -> write_all fd (route ts (path_of_request req)))
+      Unix.setsockopt_float fd Unix.SO_RCVTIMEO conn_timeout_s;
+      Unix.setsockopt_float fd Unix.SO_SNDTIMEO conn_timeout_s;
+      try
+        match read_request fd with
+        | "" -> ()
+        | req -> write_all fd (route ts (path_of_request req))
+      with Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) -> ())
 
 let start ?addr ?ts () =
   let addr = match addr with Some a -> a | None -> default_addr () in
+  (* a scraper hanging up mid-response costs an EPIPE, not the process *)
+  Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
   match parse_addr addr with
   | Error e -> Error e
   | Ok parsed -> (
@@ -334,13 +348,7 @@ let fetch ~addr ~path =
           in
           drain ();
           let resp = Buffer.contents buf in
-          let rec find_blank i =
-            if i + 3 >= String.length resp then None
-            else if resp.[i] = '\r' && resp.[i + 1] = '\n' && resp.[i + 2] = '\r'
-                    && resp.[i + 3] = '\n' then Some (i + 4)
-            else find_blank (i + 1)
-          in
-          match find_blank 0 with
+          match header_end resp with
           | None -> Error "malformed response (no header terminator)"
           | Some body_at ->
             let status =

@@ -26,6 +26,10 @@ val start : ?addr:string -> ?ts:Timeseries.t -> unit -> (t, string) result
     an exception) when the bind fails — sandboxes without network
     access are an expected environment. *)
 
+val conn_timeout_s : float
+(** Read and write deadline on every accepted connection: an idle or
+    stalled client holds the listener at most this long. *)
+
 val addr : t -> string
 (** Actually-bound address, in the same syntax [start] accepts. *)
 

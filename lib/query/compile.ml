@@ -102,21 +102,18 @@ let compile db cid pred =
 
 (* --- plan cache ---------------------------------------------------------
 
-   Keyed on (class, predicate encoding); the whole table is flushed when
-   the database's compile stamp moves, so a stale compiled plan can never
-   be returned after a schema evolution. *)
+   Keyed on (class, predicate encoding), and rebuilt empty whenever the
+   schema epoch moves, so a stale compiled plan can never be returned
+   after a schema evolution. *)
 
-type cache = {
-  tbl : (string, compiled) Hashtbl.t;
-  mutable stamp : int;
-}
+type cache = (string, compiled) Hashtbl.t Schema_graph.cell
 
 let m_hits = Metrics.counter "query.plan_cache_hits"
 let m_misses = Metrics.counter "query.plan_cache_misses"
 
 let cache_capacity = 512
 
-let create_cache () = { tbl = Hashtbl.create 64; stamp = min_int }
+let create_cache () = Schema_graph.cell (fun () -> Hashtbl.create 64)
 
 let cache_key cid pred =
   let buf = Buffer.create 64 in
@@ -126,19 +123,15 @@ let cache_key cid pred =
   Buffer.contents buf
 
 let get cache db cid pred =
-  let stamp = Database.compile_stamp db in
-  if cache.stamp <> stamp then begin
-    Hashtbl.reset cache.tbl;
-    cache.stamp <- stamp
-  end;
+  let tbl = Schema_graph.current (Database.graph db) cache in
   let key = cache_key cid pred in
-  match Hashtbl.find_opt cache.tbl key with
+  match Hashtbl.find_opt tbl key with
   | Some c ->
     Metrics.incr m_hits;
     (c, true)
   | None ->
     Metrics.incr m_misses;
-    if Hashtbl.length cache.tbl >= cache_capacity then Hashtbl.reset cache.tbl;
+    if Hashtbl.length tbl >= cache_capacity then Hashtbl.reset tbl;
     let c = compile db cid pred in
-    Hashtbl.replace cache.tbl key c;
+    Hashtbl.replace tbl key c;
     (c, false)

@@ -44,9 +44,9 @@ val compile : Tse_db.Database.t -> cid -> Tse_schema.Expr.t -> compiled
 
 (** {2 Plan cache}
 
-    Keyed on the predicate's stable encoding per class; flushed whenever
-    {!Tse_db.Database.compile_stamp} moves, so a compiled plan built
-    under an old schema state is never reused. *)
+    Keyed on the predicate's stable encoding per class; a schema-epoch
+    cell ({!Tse_schema.Schema_graph.current}), so a compiled plan built
+    at an old epoch is never reused. *)
 
 type cache
 

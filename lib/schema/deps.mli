@@ -10,9 +10,8 @@
       attributes — creating or destroying such a slice changes what the
       attribute resolves to).
 
-    The index is a pure function of the schema; consumers must recompute
-    it whenever the schema graph changes (see
-    {!Schema_graph.version}). *)
+    The index is a pure function of the schema; consumers memoize it at
+    the schema epoch ({!Schema_graph.version}). *)
 
 type t
 

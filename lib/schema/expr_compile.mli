@@ -4,11 +4,11 @@
     (extent scans, reclassification fixpoints) skips the tree-walk dispatch,
     per-call env allocation and per-read name resolution of {!Expr.eval}.
 
-    Compiled code must be invalidated whenever the schema state it was
-    compiled against changes (see {!Tse_schema.Schema_graph.version}): the
-    binder is consulted once per distinct name at compile time, so renames,
-    new declarers of an attribute, or class additions can change what the
-    closures should do. *)
+    Compiled code must be dropped when the schema epoch it was compiled
+    at moves ({!Tse_schema.Schema_graph.version}): the binder is consulted
+    once per distinct name at compile time, so renames, new declarers of
+    an attribute, or class additions can change what the closures should
+    do. *)
 
 (** How to bind the names an expression mentions. Each function is called
     once per distinct name at compile time and returns the per-object

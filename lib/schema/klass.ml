@@ -16,18 +16,21 @@ type kind = Base | Virtual of derivation
 type t = {
   cid : cid;
   mutable name : string;
-  mutable kind : kind;
+  kind : kind;
   mutable local_props : Prop.t list;
   mutable supers : cid list;
   mutable subs : cid list;
 }
 
-let make_base ~cid ~name ~props =
-  { cid; name; kind = Base; local_props = props; supers = []; subs = [] }
+module Unsafe = struct
+  let make ~cid ~name ~kind ~local_props ~supers ~subs =
+    { cid; name; kind; local_props; supers; subs }
 
-let make_virtual ~cid ~name derivation props =
-  { cid; name; kind = Virtual derivation; local_props = props; supers = [];
-    subs = [] }
+  let set_name t name = t.name <- name
+  let set_local_props t ps = t.local_props <- ps
+  let set_supers t cs = t.supers <- cs
+  let set_subs t cs = t.subs <- cs
+end
 
 let is_base t = match t.kind with Base -> true | Virtual _ -> false
 let is_virtual t = not (is_base t)
@@ -49,21 +52,6 @@ let local_prop t name =
   List.find_opt (fun (p : Prop.t) -> String.equal p.name name) t.local_props
 
 let has_local_prop t name = Option.is_some (local_prop t name)
-
-let add_local_prop t p =
-  if has_local_prop t p.Prop.name then
-    invalid_arg
-      (Printf.sprintf "Klass.add_local_prop: %s already defines %s" t.name
-         p.Prop.name);
-  t.local_props <- t.local_props @ [ p ]
-
-let remove_local_prop t name =
-  t.local_props <-
-    List.filter (fun (p : Prop.t) -> not (String.equal p.name name)) t.local_props
-
-let replace_local_prop t p =
-  remove_local_prop t p.Prop.name;
-  t.local_props <- t.local_props @ [ p ]
 
 let derivation_equal a b =
   match a, b with

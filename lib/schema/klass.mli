@@ -26,10 +26,12 @@ type derivation =
 
 type kind = Base | Virtual of derivation
 
-type t = {
+(** [private]: every change goes through a {!Schema_graph} mutator, and
+    so moves the schema epoch that all schema-derived caches key on. *)
+type t = private {
   cid : cid;
   mutable name : string;
-  mutable kind : kind;
+  kind : kind;
   mutable local_props : Prop.t list;
       (** properties introduced or promoted at this class; inherited
           properties are {e not} listed here *)
@@ -37,8 +39,18 @@ type t = {
   mutable subs : cid list;  (** direct subclasses *)
 }
 
-val make_base : cid:cid -> name:string -> props:Prop.t list -> t
-val make_virtual : cid:cid -> name:string -> derivation -> Prop.t list -> t
+(** Raw construction and field writes, which do {e not} move the schema
+    epoch: for [Schema_graph], the schema codec and corruption tests. *)
+module Unsafe : sig
+  val make :
+    cid:cid -> name:string -> kind:kind -> local_props:Prop.t list ->
+    supers:cid list -> subs:cid list -> t
+
+  val set_name : t -> string -> unit
+  val set_local_props : t -> Prop.t list -> unit
+  val set_supers : t -> cid list -> unit
+  val set_subs : t -> cid list -> unit
+end
 
 val is_base : t -> bool
 val is_virtual : t -> bool
@@ -49,11 +61,6 @@ val sources : t -> cid list
 
 val local_prop : t -> string -> Prop.t option
 val has_local_prop : t -> string -> bool
-val add_local_prop : t -> Prop.t -> unit
-(** @raise Invalid_argument if a local property with that name exists. *)
-
-val remove_local_prop : t -> string -> unit
-val replace_local_prop : t -> Prop.t -> unit
 
 val derivation_equal : derivation -> derivation -> bool
 (** Structural equality of derivations (same operator, same sources, same

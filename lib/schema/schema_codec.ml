@@ -135,23 +135,28 @@ let read_class s pos =
   in
   let supers, pos = Codec.read_list read_cid s pos in
   let props, pos = Codec.read_list read_prop s pos in
-  ({ Klass.cid; name; kind; local_props = props; supers; subs = [] }, pos)
+  (Klass.Unsafe.make ~cid ~name ~kind ~local_props:props ~supers ~subs:[], pos)
+
+let add_graph buf graph =
+  add_cid buf (Schema_graph.root graph);
+  Schema_graph.classes graph
+  |> List.sort (fun (a : Klass.t) b -> Oid.compare a.cid b.cid)
+  |> Codec.add_list buf add_class
 
 let encode_graph graph =
   let buf = Buffer.create 1024 in
-  add_cid buf (Schema_graph.root graph);
-  let classes =
-    Schema_graph.classes graph
-    |> List.sort (fun (a : Klass.t) b -> Oid.compare a.cid b.cid)
-  in
-  Codec.add_list buf add_class classes;
+  add_graph buf graph;
   Buffer.contents buf
 
-let decode_graph ~gen s =
-  let root, pos = read_cid s 0 in
+let read_graph ~gen s pos =
+  let root, pos = read_cid s pos in
   let graph = Schema_graph.restore_empty ~gen ~root in
   let classes, pos = Codec.read_list read_class s pos in
-  if pos <> String.length s then Codec.fail_at pos "trailing schema bytes";
   List.iter (Schema_graph.install graph) classes;
   Schema_graph.relink_subs graph;
+  (graph, pos)
+
+let decode_graph ~gen s =
+  let graph, pos = read_graph ~gen s 0 in
+  if pos <> String.length s then Codec.fail_at pos "trailing schema bytes";
   graph

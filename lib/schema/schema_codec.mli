@@ -12,17 +12,16 @@ val read_prop : string -> int -> Prop.t * int
 val add_derivation : Buffer.t -> Klass.derivation -> unit
 val read_derivation : string -> int -> Klass.derivation * int
 
-val add_class : Buffer.t -> Klass.t -> unit
-
-val read_class : string -> int -> Klass.t * int
-(** The returned class's [subs] are empty; callers install every class
-    and then {!Schema_graph.relink_subs}. *)
-
-val encode_graph : Schema_graph.t -> string
+val add_graph : Buffer.t -> Schema_graph.t -> unit
 (** Root cid + every class, sorted by cid — a deterministic image, equal
     for equal schemas (the durability layer diffs successive images to
     decide whether a commit must log the schema). *)
 
+val read_graph :
+  gen:Tse_store.Oid.Gen.t -> string -> int -> Schema_graph.t * int
+(** Rebuild a graph (sharing the heap's OID generator) from {!add_graph}
+    output. *)
+
+val encode_graph : Schema_graph.t -> string
 val decode_graph : gen:Tse_store.Oid.Gen.t -> string -> Schema_graph.t
-(** Rebuild a graph (sharing the heap's OID generator) from
-    {!encode_graph} output. *)
+(** {!read_graph} over a whole string. *)

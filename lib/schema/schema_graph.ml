@@ -2,16 +2,20 @@ module Oid = Tse_store.Oid
 
 type cid = Klass.cid
 
+(* A value derived from a graph, tagged with the epoch it was made at. *)
+type 'a cell = { make : unit -> 'a; mutable value : (int * 'a) option }
+
+(* One per-class memo table of this graph. *)
+type slot = Slot : 'a Type.Id.t * 'a Oid.Tbl.t -> slot
+
 type t = {
   classes : Klass.t Oid.Tbl.t;
   gen : Oid.Gen.t;
   root : cid;
-  (* reachability caches, flushed on any edge or class mutation *)
-  anc_cache : Oid.Set.t Oid.Tbl.t;
-  desc_cache : Oid.Set.t Oid.Tbl.t;
-  (* monotone stamp for derived structures (dependency index, derivation
-     order) to detect that the class set or topology changed under them *)
+  (* the schema epoch: moved by every mutator below, and by nothing else,
+     because class records are private to this module *)
   mutable version : int;
+  memos : slot list ref cell;
 }
 
 let gen t = t.gen
@@ -58,35 +62,62 @@ let closure next start =
   visit start;
   !seen
 
-let flush_caches t =
-  t.version <- t.version + 1;
-  Oid.Tbl.reset t.anc_cache;
-  Oid.Tbl.reset t.desc_cache
+let moved t = t.version <- t.version + 1
 
-let cached cache compute cid =
-  match Oid.Tbl.find_opt cache cid with
-  | Some s -> s
-  | None ->
-    let s = compute cid in
-    Oid.Tbl.replace cache cid s;
-    s
+(* --- schema-epoch memos ---------------------------------------------- *)
 
-let ancestors t cid = cached t.anc_cache (closure (supers t)) cid
-let descendants t cid = cached t.desc_cache (closure (subs t)) cid
+let cell make = { make; value = None }
+
+(* A hit only reads, so values warmed on one domain can be read from
+   several. *)
+let current t c =
+  match c.value with
+  | Some (at, v) when at = t.version -> v
+  | Some _ | None ->
+    let v = c.make () in
+    c.value <- Some (t.version, v);
+    v
+
+type 'a memo = 'a Type.Id.t
+
+let memo () = Type.Id.make ()
+
+let memoize : type a. t -> a memo -> (cid -> a) -> cid -> a =
+ fun t id compute cid ->
+  let slots = current t t.memos in
+  let rec table : slot list -> a Oid.Tbl.t = function
+    | Slot (id', tbl) :: rest -> begin
+      match Type.Id.provably_equal id id' with
+      | Some Type.Equal -> tbl
+      | None -> table rest
+    end
+    | [] ->
+      let tbl = Oid.Tbl.create 64 in
+      slots := Slot (id, tbl) :: !slots;
+      tbl
+  in
+  Oid.Tbl.find_or_add (table !slots) cid compute
+
+let anc_memo : Oid.Set.t memo = memo ()
+let desc_memo : Oid.Set.t memo = memo ()
+let ancestors t cid = memoize t anc_memo (closure (supers t)) cid
+let descendants t cid = memoize t desc_memo (closure (subs t)) cid
 
 let is_strict_ancestor t ~anc ~desc = Oid.Set.mem anc (ancestors t desc)
 
 let is_ancestor_or_self t ~anc ~desc =
   Oid.equal anc desc || is_strict_ancestor t ~anc ~desc
 
+let empty ~gen ~root ~version =
+  { classes = Oid.Tbl.create 64; gen; root; version;
+    memos = cell (fun () -> ref []) }
+
 let create ~gen =
   let root = Oid.Gen.fresh gen in
-  let t =
-    { classes = Oid.Tbl.create 64; gen; root; anc_cache = Oid.Tbl.create 64;
-      desc_cache = Oid.Tbl.create 64; version = 0 }
-  in
+  let t = empty ~gen ~root ~version:0 in
   Oid.Tbl.replace t.classes root
-    (Klass.make_base ~cid:root ~name:"Object" ~props:[]);
+    (Klass.Unsafe.make ~cid:root ~name:"Object" ~kind:Klass.Base
+       ~local_props:[] ~supers:[] ~subs:[]);
   t
 
 let check_fresh_name t name =
@@ -100,16 +131,18 @@ let check_fresh_name t name =
 let link t ~sup ~sub =
   let ksup = find_exn t sup and ksub = find_exn t sub in
   if not (List.exists (Oid.equal sub) ksup.subs) then begin
-    ksup.subs <- ksup.subs @ [ sub ];
-    ksub.supers <- ksub.supers @ [ sup ];
-    flush_caches t
+    Klass.Unsafe.set_subs ksup (ksup.subs @ [ sub ]);
+    Klass.Unsafe.set_supers ksub (ksub.supers @ [ sup ]);
+    moved t
   end
 
 let unlink t ~sup ~sub =
   let ksup = find_exn t sup and ksub = find_exn t sub in
-  ksup.subs <- List.filter (fun c -> not (Oid.equal c sub)) ksup.subs;
-  ksub.supers <- List.filter (fun c -> not (Oid.equal c sup)) ksub.supers;
-  flush_caches t
+  Klass.Unsafe.set_subs ksup
+    (List.filter (fun c -> not (Oid.equal c sub)) ksup.subs);
+  Klass.Unsafe.set_supers ksub
+    (List.filter (fun c -> not (Oid.equal c sup)) ksub.supers);
+  moved t
 
 let add_edge t ~sup ~sub =
   if Oid.equal sup sub then invalid_arg "Schema_graph.add_edge: self edge";
@@ -131,26 +164,24 @@ let remove_edge t ~sup ~sub =
   if ksub.supers = [] && not (Oid.equal sub t.root) then
     link t ~sup:t.root ~sub
 
-let register_base t ~name ~props ~supers =
+let register t ~name kind props =
   check_fresh_name t name;
   let cid = Oid.Gen.fresh t.gen in
-  let props = List.map (fun p -> Prop.reoriginate p cid) props in
-  let k = Klass.make_base ~cid ~name ~props in
-  Oid.Tbl.replace t.classes cid k;
+  let local_props = List.map (fun p -> Prop.reoriginate p cid) props in
+  Oid.Tbl.replace t.classes cid
+    (Klass.Unsafe.make ~cid ~name ~kind ~local_props ~supers:[] ~subs:[]);
+  moved t;
+  cid
+
+let register_base t ~name ~props ~supers =
+  let cid = register t ~name Klass.Base props in
   (match supers with
   | [] -> link t ~sup:t.root ~sub:cid
   | supers -> List.iter (fun sup -> add_edge t ~sup ~sub:cid) supers);
   cid
 
 let register_virtual t ~name derivation props =
-  check_fresh_name t name;
-  let cid = Oid.Gen.fresh t.gen in
-  let props = List.map (fun p -> Prop.reoriginate p cid) props in
-  let k = Klass.make_virtual ~cid ~name derivation props in
-  Oid.Tbl.replace t.classes cid k;
-  (* no edge is linked yet, so flush_caches never runs: bump explicitly *)
-  t.version <- t.version + 1;
-  cid
+  register t ~name (Klass.Virtual derivation) props
 
 let remove t cid =
   if Oid.equal cid t.root then invalid_arg "Schema_graph.remove: root";
@@ -158,8 +189,34 @@ let remove t cid =
   List.iter (fun sup -> unlink t ~sup ~sub:cid) k.supers;
   List.iter (fun sub -> remove_edge t ~sup:cid ~sub) k.subs;
   Oid.Tbl.remove t.classes cid;
-  (* an edgeless class reaches neither link nor unlink: bump explicitly *)
-  t.version <- t.version + 1
+  moved t
+
+(* --- class-record mutators ----------------------------------------- *)
+
+let rename t cid name =
+  check_fresh_name t name;
+  Klass.Unsafe.set_name (find_exn t cid) name;
+  moved t
+
+let set_local_props t cid f =
+  let k = find_exn t cid in
+  Klass.Unsafe.set_local_props k (f k.local_props);
+  moved t
+
+let without name =
+  List.filter (fun (p : Prop.t) -> not (String.equal p.name name))
+
+let add_local_prop t cid (p : Prop.t) =
+  if Klass.has_local_prop (find_exn t cid) p.name then
+    invalid_arg
+      (Printf.sprintf "Schema_graph.add_local_prop: %s already defines %s"
+         (name_of t cid) p.name);
+  set_local_props t cid (fun ps -> ps @ [ p ])
+
+let remove_local_prop t cid name = set_local_props t cid (without name)
+
+let replace_local_prop t cid (p : Prop.t) =
+  set_local_props t cid (fun ps -> without p.name ps @ [ p ])
 
 let subclasses_within t cid ~in_set =
   let seen = ref Oid.Set.empty in
@@ -210,38 +267,29 @@ let is_redundant_edge t ~sup ~sub =
       (not (Oid.equal mid sub)) && is_strict_ancestor t ~anc:mid ~desc:sub)
     (subs t sup)
 
+(* A copy starts with empty memos, so it also serves as an uncached
+   reference for the original. *)
 let copy t =
-  let t' =
-    { classes = Oid.Tbl.create (size t); gen = t.gen; root = t.root;
-      anc_cache = Oid.Tbl.create 64; desc_cache = Oid.Tbl.create 64;
-      version = t.version }
-  in
+  let t' = empty ~gen:t.gen ~root:t.root ~version:t.version in
   Oid.Tbl.iter
     (fun cid (k : Klass.t) ->
       Oid.Tbl.replace t'.classes cid
-        {
-          Klass.cid = k.cid;
-          name = k.name;
-          kind = k.kind;
-          local_props = k.local_props;
-          supers = k.supers;
-          subs = k.subs;
-        })
+        (Klass.Unsafe.make ~cid ~name:k.name ~kind:k.kind
+           ~local_props:k.local_props ~supers:k.supers ~subs:k.subs))
     t.classes;
   t'
 
 let restore_empty ~gen ~root =
   Oid.Gen.mark_used gen root;
-  { classes = Oid.Tbl.create 64; gen; root; anc_cache = Oid.Tbl.create 64;
-    desc_cache = Oid.Tbl.create 64; version = 0 }
+  empty ~gen ~root ~version:0
 
 let install t (k : Klass.t) =
   Oid.Gen.mark_used t.gen k.cid;
   Oid.Tbl.replace t.classes k.cid k;
-  flush_caches t
+  moved t
 
 let relink_subs t =
-  Oid.Tbl.iter (fun _ (k : Klass.t) -> k.subs <- []) t.classes;
+  Oid.Tbl.iter (fun _ k -> Klass.Unsafe.set_subs k []) t.classes;
   let order = Oid.Tbl.fold (fun cid _ acc -> cid :: acc) t.classes [] in
   List.iter
     (fun sub ->
@@ -249,10 +297,10 @@ let relink_subs t =
         (fun sup ->
           let ksup = find_exn t sup in
           if not (List.exists (Oid.equal sub) ksup.subs) then
-            ksup.subs <- ksup.subs @ [ sub ])
+            Klass.Unsafe.set_subs ksup (ksup.subs @ [ sub ]))
         (find_exn t sub).supers)
     (List.sort Oid.compare order);
-  flush_caches t
+  moved t
 
 let pp ppf t =
   let order = topo_order t in

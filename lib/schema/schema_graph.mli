@@ -13,9 +13,33 @@ val create : gen:Tse_store.Oid.Gen.t -> t
 val gen : t -> Tse_store.Oid.Gen.t
 
 val version : t -> int
-(** Monotone mutation stamp: bumped on every class registration/removal
-    and every is-a edge change. Derived structures (the {!Deps} index,
-    cached derivation orders) compare it to detect staleness. *)
+(** The schema epoch. Every mutator below strictly increases it, and
+    {!Klass.t} is private, so no class or edge can change without it
+    moving. Every schema-derived cache keys on it (DESIGN.md, "Schema
+    epoch"). *)
+
+(** {2 Schema-epoch memos}
+
+    A hit at the current epoch only reads, so memos warmed on one domain
+    may be read from several. *)
+
+type 'a memo
+(** Names a per-class table that every graph keeps for itself; a {!copy}
+    starts with none. *)
+
+val memo : unit -> 'a memo
+
+val memoize : t -> 'a memo -> (cid -> 'a) -> cid -> 'a
+(** [memoize t m f c] is [f c], computed at most once per epoch. *)
+
+type 'a cell
+(** A value derived from one graph but owned elsewhere. *)
+
+val cell : (unit -> 'a) -> 'a cell
+
+val current : t -> 'a cell -> 'a
+(** The cell's value, made afresh at the first read after the epoch
+    moves. Read a cell against one graph only. *)
 
 val root : t -> cid
 (** The system root class, named ["Object"]. *)
@@ -47,6 +71,17 @@ val size : t -> int
 val remove : t -> cid -> unit
 (** Unlink the class from all neighbours and drop it. The root cannot be
     removed. *)
+
+val rename : t -> cid -> string -> unit
+(** @raise Invalid_argument if another class already uses the name. *)
+
+val add_local_prop : t -> cid -> Prop.t -> unit
+(** @raise Invalid_argument if a local property with that name exists. *)
+
+val remove_local_prop : t -> cid -> string -> unit
+
+val replace_local_prop : t -> cid -> Prop.t -> unit
+(** Drop the local property of that name, if any, and append this one. *)
 
 (** {2 Generalization edges} *)
 

@@ -13,29 +13,26 @@ let add_candidate (p : Prop.t) cs =
 
 let merge_candidates a b = List.fold_left (fun acc p -> add_candidate p acc) a b
 
-(* visible g cid: name -> candidates, with local definitions overriding. *)
-let visible graph cid =
-  let memo = Oid.Tbl.create 16 in
-  let rec go cid =
-    match Oid.Tbl.find_opt memo cid with
-    | Some m -> m
-    | None ->
+(* visible g cid: name -> candidates, with local definitions overriding;
+   one table per graph, rebuilt when the schema epoch moves. *)
+let visible_memo : candidates SMap.t Schema_graph.memo = Schema_graph.memo ()
+
+let rec visible graph cid =
+  Schema_graph.memoize graph visible_memo
+    (fun cid ->
       let k = Schema_graph.find_exn graph cid in
       let inherited =
         List.fold_left
           (fun acc sup ->
-            SMap.union (fun _ a b -> Some (merge_candidates a b)) acc (go sup))
+            SMap.union
+              (fun _ a b -> Some (merge_candidates a b))
+              acc (visible graph sup))
           SMap.empty k.supers
       in
-      let m =
-        List.fold_left
-          (fun acc (p : Prop.t) -> SMap.add p.name [ p ] acc)
-          inherited k.local_props
-      in
-      Oid.Tbl.replace memo cid m;
-      m
-  in
-  go cid
+      List.fold_left
+        (fun acc (p : Prop.t) -> SMap.add p.name [ p ] acc)
+        inherited k.local_props)
+    cid
 
 let resolve (cs : candidates) =
   match cs with

@@ -95,9 +95,19 @@ module Dense = struct
 
   let length t = t.live
 end
-module Tbl = Hashtbl.Make (struct
-  type nonrec t = t
+module Tbl = struct
+  include Hashtbl.Make (struct
+    type nonrec t = t
 
-  let equal = equal
-  let hash = hash
-end)
+    let equal = equal
+    let hash = hash
+  end)
+
+  let find_or_add tbl k make =
+    match find_opt tbl k with
+    | Some v -> v
+    | None ->
+      let v = make k in
+      replace tbl k v;
+      v
+end

@@ -51,7 +51,12 @@ end
 
 module Set : Set.S with type elt = t
 module Map : Map.S with type key = t
-module Tbl : Hashtbl.S with type key = t
+module Tbl : sig
+  include Hashtbl.S with type key = t
+
+  val find_or_add : 'a t -> key -> (key -> 'a) -> 'a
+  (** The value bound to the key, binding [make key] first if none is. *)
+end
 
 (** Growable array keyed directly by the (dense, sequential) OID: one
     bounds check and one load per probe, no hashing, and ascending-OID

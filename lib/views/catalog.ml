@@ -3,9 +3,7 @@ module Heap = Tse_store.Heap
 module Codec = Tse_store.Codec
 module Snapshot = Tse_store.Snapshot
 module Storage = Tse_store.Storage
-module Klass = Tse_schema.Klass
 module Schema_codec = Tse_schema.Schema_codec
-module Schema_graph = Tse_schema.Schema_graph
 module Database = Tse_db.Database
 
 (* Primitive and schema codecs live in Tse_store.Codec and
@@ -18,13 +16,7 @@ let read_cid = Schema_codec.read_cid
 
 let schema_blob db history =
   let buf = Buffer.create 4096 in
-  let graph = Database.graph db in
-  add_cid buf (Schema_graph.root graph);
-  let classes =
-    Schema_graph.classes graph
-    |> List.sort (fun (a : Klass.t) b -> Oid.compare a.cid b.cid)
-  in
-  Codec.add_list buf Schema_codec.add_class classes;
+  Schema_codec.add_graph buf (Database.graph db);
   (* per-object explicit base memberships *)
   let bases =
     List.map
@@ -82,12 +74,7 @@ let of_string text =
   try
     (* heap first: it owns the OID generator *)
     let heap = Snapshot.of_string heap_text in
-    let pos = 0 in
-    let root, pos = read_cid blob pos in
-    let graph = Schema_graph.restore_empty ~gen:(Heap.gen heap) ~root in
-    let classes, pos = Codec.read_list Schema_codec.read_class blob pos in
-    List.iter (Schema_graph.install graph) classes;
-    Schema_graph.relink_subs graph;
+    let graph, pos = Schema_codec.read_graph ~gen:(Heap.gen heap) blob 0 in
     let bases, pos =
       Codec.read_list
         (fun s pos ->
@@ -97,7 +84,6 @@ let of_string text =
         blob pos
     in
     let db = Database.restore ~heap ~graph ~bases in
-    List.iter (fun (k : Klass.t) -> Database.note_new_class db k.cid) classes;
     let history, _pos = History_codec.read_history blob pos in
     (db, history)
   with Codec.Corrupt (what, pos) ->

@@ -55,8 +55,7 @@ let test_method_evaluation () =
   let u = uni () in
   let db = u.db in
   (* add a derived method adult() = age >= 18 to Person *)
-  let kp = Schema_graph.find_exn (Database.graph db) u.person in
-  Klass.add_local_prop kp
+  Schema_graph.add_local_prop (Database.graph db) u.person
     (Prop.method_ ~origin:u.person "adult" Expr.(attr "age" >= int 18));
   let p =
     Database.create_object db u.person
@@ -424,6 +423,151 @@ let test_event_exactly_once () =
   check Alcotest.int "remove base: one Bases_changed" 1 (n_bases ());
   Alcotest.(check (list string)) "consistent" [] (Database.check db)
 
+(* ------------------------------------------------------------------ *)
+(* Schema epoch: every mutator moves it, every memo follows it          *)
+(* ------------------------------------------------------------------ *)
+
+module Engine = Tse_query.Engine
+module Indexes = Tse_query.Indexes
+module Metrics = Tse_obs.Metrics
+
+let adult = Expr.(attr "age" >= int 18)
+
+(* Figure 2 plus a select class over Student, objects on both sides of
+   it, and a query session. The incremental engine is pinned, so
+   reclassification goes through the compiled select predicates. *)
+let epoch_fixture () =
+  let u = uni () in
+  let db = u.db in
+  Database.set_full_reclassify db false;
+  let g = Database.graph db in
+  let honors =
+    Schema_graph.register_virtual g ~name:"Honors"
+      (Klass.Select (u.student, Expr.(attr "gpa" >= Const (Value.Float 3.5))))
+      []
+  in
+  Schema_graph.add_edge g ~sup:u.student ~sub:honors;
+  Database.note_new_class db honors;
+  let objs =
+    List.init 6 (fun i ->
+        if i mod 2 = 0 then
+          Database.create_object db u.student
+            ~init:[ ("age", Value.Int (16 + i)); ("gpa", Value.Float (2.5 +. float i /. 4.)) ]
+        else Database.create_object db u.staff ~init:[ ("age", Value.Int (16 + i)) ])
+  in
+  (u, Indexes.create db, objs)
+
+(* Warm every schema-derived memo: full types and is-a closures of every
+   class, the compiled select predicate, and a plan-cache entry. *)
+let warm_epoch_memos (u : Tse_workload.University.t) idx objs =
+  let g = Database.graph u.db in
+  List.iter
+    (fun c ->
+      ignore (Type_info.full_type g c);
+      ignore (Schema_graph.ancestors g c);
+      ignore (Schema_graph.descendants g c))
+    (Schema_graph.cids g);
+  List.iter (Database.reclassify u.db) objs;
+  ignore (Engine.select u.db idx u.person adult)
+
+(* After a mutation, each memo must answer from the changed schema: type
+   and closure memos agree with a copy (which starts with none), the
+   select predicate is compiled afresh, and the plan cache misses and
+   then answers as a brute-force filter does. *)
+let check_memos_follow label (u : Tse_workload.University.t) idx objs =
+  let db = u.db in
+  Alcotest.(check bool) (label ^ ": type and closure memos") true
+    (Test_schema.memo_matches_fresh (Database.graph db));
+  let compiles = Metrics.find_counter "reclass.pred_compiles" in
+  List.iter (Database.reclassify db) objs;
+  Alcotest.(check bool) (label ^ ": select predicate recompiled") true
+    (Metrics.find_counter "reclass.pred_compiles" > compiles);
+  let ex, hits = Engine.select_explain db idx u.person adult in
+  Alcotest.(check bool) (label ^ ": plan recompiled") false ex.Engine.plan_cache_hit;
+  Alcotest.(check bool) (label ^ ": plan answers") true
+    (Oid.Set.equal hits
+       (Oid.Set.filter (fun o -> Database.holds db o adult) (Database.extent db u.person)))
+
+let epoch_mutators : (string * (Tse_workload.University.t -> unit)) list =
+  let graph (u : Tse_workload.University.t) = Database.graph u.db in
+  [
+    ( "register_base",
+      fun u ->
+        Database.note_new_class u.db
+          (Schema_graph.register_base (graph u) ~name:"Visitor" ~props:[]
+             ~supers:[ u.person ]) );
+    ( "register_virtual",
+      fun u ->
+        Database.note_new_class u.db
+          (Schema_graph.register_virtual (graph u) ~name:"Seniors"
+             (Klass.Select (u.person, Expr.(attr "age" >= int 65)))
+             []) );
+    ( "remove",
+      fun u ->
+        Schema_graph.remove (graph u) u.grader;
+        Database.note_removed_class u.db u.grader );
+    ("add_edge", fun u -> Schema_graph.add_edge (graph u) ~sup:u.support_staff ~sub:u.grad);
+    ("remove_edge", fun u -> Schema_graph.remove_edge (graph u) ~sup:u.student ~sub:u.ta);
+    ( "add_local_prop",
+      fun u ->
+        Schema_graph.add_local_prop (graph u) u.staff
+          (Prop.stored ~origin:u.staff "gpa" Value.TFloat) );
+    ("remove_local_prop", fun u -> Schema_graph.remove_local_prop (graph u) u.student "major");
+    ( "replace_local_prop",
+      fun u ->
+        Schema_graph.replace_local_prop (graph u) u.person
+          (Prop.method_ ~origin:u.person "ssn" (Expr.int 7)) );
+    ("rename", fun u -> Schema_graph.rename (graph u) u.grad "Graduate");
+    ( "install + relink_subs",
+      fun u ->
+        (* a class record built on a copy, installed verbatim: each of the
+           two loader steps moves the epoch on its own *)
+        let g = graph u in
+        let g' = Schema_graph.copy g in
+        let extra = Schema_graph.register_base g' ~name:"Extra" ~props:[] ~supers:[] in
+        let v0 = Schema_graph.version g in
+        Schema_graph.install g (Schema_graph.find_exn g' extra);
+        let v1 = Schema_graph.version g in
+        Schema_graph.relink_subs g;
+        Alcotest.(check bool) "install moves the epoch" true (v1 > v0);
+        Alcotest.(check bool) "relink_subs moves the epoch" true
+          (Schema_graph.version g > v1);
+        Database.note_new_class u.db extra );
+  ]
+
+let test_every_mutator_moves_the_epoch () =
+  List.iter
+    (fun (label, mutate) ->
+      let u, idx, objs = epoch_fixture () in
+      warm_epoch_memos u idx objs;
+      let before = Schema_graph.version (Database.graph u.db) in
+      mutate u;
+      Alcotest.(check bool) (label ^ ": epoch moved") true
+        (Schema_graph.version (Database.graph u.db) > before);
+      check_memos_follow label u idx objs)
+    epoch_mutators
+
+(* The compiled attribute getter binds the single class declaring the
+   attribute at compile time. Once a second class gains the attribute, a
+   plan compiled before would read only the first declarer's slices and
+   miss the new class's members. *)
+let test_epoch_single_declarer_fast_path () =
+  let u = uni () in
+  let db = u.db in
+  let g = Database.graph db in
+  let badge = Expr.(attr "badge" === int 1) in
+  Schema_graph.add_local_prop g u.student
+    (Prop.stored ~origin:u.student "badge" Value.TInt);
+  let s = Database.create_object db u.student ~init:[ ("badge", Value.Int 1) ] in
+  let idx = Indexes.create db in
+  Alcotest.(check (list int)) "one declarer" [ Oid.to_int s ]
+    (List.map Oid.to_int (Oid.Set.elements (Engine.select db idx u.person badge)));
+  Schema_graph.add_local_prop g u.staff
+    (Prop.stored ~origin:u.staff "badge" Value.TInt);
+  let f = Database.create_object db u.staff ~init:[ ("badge", Value.Int 1) ] in
+  Alcotest.(check (list int)) "both declarers" [ Oid.to_int s; Oid.to_int f ]
+    (List.map Oid.to_int (Oid.Set.elements (Engine.select db idx u.person badge)))
+
 let suite =
   [
     Alcotest.test_case "create + extent closure" `Quick test_create_and_extents;
@@ -454,4 +598,8 @@ let suite =
       test_membership_delta_events;
     Alcotest.test_case "events fire exactly once per change" `Quick
       test_event_exactly_once;
+    Alcotest.test_case "every schema mutator moves the epoch" `Quick
+      test_every_mutator_moves_the_epoch;
+    Alcotest.test_case "epoch: single-declarer fast path" `Quick
+      test_epoch_single_declarer_fast_path;
   ]

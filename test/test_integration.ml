@@ -161,8 +161,8 @@ let test_ambiguity_must_be_renamed_to_invoke () =
   (* disambiguate by renaming at the origin *)
   let ka = Schema_graph.find_exn g a in
   let px = Option.get (Klass.local_prop ka "x") in
-  Klass.remove_local_prop ka "x";
-  Klass.add_local_prop ka (Prop.rename px "ax");
+  Schema_graph.remove_local_prop g a "x";
+  Schema_graph.add_local_prop g a (Prop.rename px "ax");
   Database.set_attr db o "ax" (Value.Int 1);
   Database.set_attr db o "x" (Value.String "s");
   check vpp "renamed readable" (Value.Int 1) (Database.get_prop db o "ax");

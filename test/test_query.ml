@@ -333,7 +333,7 @@ let test_pushdown_through_selects () =
 let test_plan_cache_invalidation_on_evolution () =
   let u, idx = fixture () in
   let pred = Expr.(attr "age" >= int 21) in
-  let stamp0 = Database.compile_stamp u.db in
+  let epoch0 = Schema_graph.version (Database.graph u.db) in
   let ex1 = Engine.explain u.db idx u.person pred in
   let ex2 = Engine.explain u.db idx u.person pred in
   Alcotest.(check bool) "cold: miss" false ex1.Engine.plan_cache_hit;
@@ -347,7 +347,7 @@ let test_plan_cache_invalidation_on_evolution () =
        (Tse_core.Change.Add_attribute
           { cls = "Person"; def = Tse_core.Change.attr "badge" Value.TInt }));
   Alcotest.(check bool) "schema state moved" true
-    (Database.compile_stamp u.db > stamp0);
+    (Schema_graph.version (Database.graph u.db) > epoch0);
   (* the stale plan must not be reused... *)
   let ex3 = Engine.explain u.db idx u.person pred in
   Alcotest.(check bool) "after evolve: recompiled" false

@@ -151,7 +151,7 @@ let test_graph_copy_isolation () =
   let a = Schema_graph.register_base g ~name:"A" ~props:[] ~supers:[] in
   let g' = Schema_graph.copy g in
   let _b = Schema_graph.register_base g' ~name:"B" ~props:[] ~supers:[ a ] in
-  (Schema_graph.find_exn g' a).Klass.name <- "Renamed";
+  Schema_graph.rename g' a "Renamed";
   check Alcotest.string "original untouched" "A" (Schema_graph.name_of g a);
   check Alcotest.int "original size" 2 (Schema_graph.size g);
   check Alcotest.int "copy size" 3 (Schema_graph.size g')
@@ -240,8 +240,8 @@ let test_inheritance_real_conflict () =
   (* user disambiguates by renaming one candidate at its origin *)
   let ka = Schema_graph.find_exn g a in
   let px = Option.get (Klass.local_prop ka "x") in
-  Klass.replace_local_prop ka (Prop.rename px "ax");
-  Klass.remove_local_prop ka "x";
+  Schema_graph.replace_local_prop g a (Prop.rename px "ax");
+  Schema_graph.remove_local_prop g a "x";
   (match Type_info.find g c "x" with
   | Some (Type_info.Single p) ->
     Alcotest.(check bool) "B's survives" true (p.Prop.origin = b)
@@ -335,45 +335,47 @@ let two_classes () =
 let test_invariant_cycle () =
   let g, ka, kb = two_classes () in
   (* close the loop A -> B -> A behind add_edge's back *)
-  ka.Klass.supers <- kb.Klass.cid :: ka.Klass.supers;
-  kb.Klass.subs <- ka.Klass.cid :: kb.Klass.subs;
+  Klass.Unsafe.set_supers ka (kb.Klass.cid :: ka.Klass.supers);
+  Klass.Unsafe.set_subs kb (ka.Klass.cid :: kb.Klass.subs);
   problem_mentioning "cycle through class A" (Invariants.check g)
 
 let test_invariant_missing_superclass () =
   let g, _, kb = two_classes () in
-  kb.Klass.supers <- Oid.of_int 9999 :: kb.Klass.supers;
+  Klass.Unsafe.set_supers kb (Oid.of_int 9999 :: kb.Klass.supers);
   problem_mentioning "B lists missing superclass" (Invariants.check g)
 
 let test_invariant_missing_subclass () =
   let g, ka, _ = two_classes () in
-  ka.Klass.subs <- Oid.of_int 9999 :: ka.Klass.subs;
+  Klass.Unsafe.set_subs ka (Oid.of_int 9999 :: ka.Klass.subs);
   problem_mentioning "A lists missing subclass" (Invariants.check g)
 
 let test_invariant_asymmetric_super_edge () =
   let g, ka, kb = two_classes () in
   (* B claims A as a superclass twice is fine; instead drop B from A's
      subs so the super-side listing has no matching sub-side entry *)
-  ka.Klass.subs <- List.filter (fun c -> not (Oid.equal c kb.Klass.cid)) ka.Klass.subs;
+  Klass.Unsafe.set_subs ka
+    (List.filter (fun c -> not (Oid.equal c kb.Klass.cid)) ka.Klass.subs);
   problem_mentioning "edge A->B not symmetric" (Invariants.check g)
 
 let test_invariant_asymmetric_sub_edge () =
   let g, ka, kb = two_classes () in
-  kb.Klass.supers <-
-    List.filter (fun c -> not (Oid.equal c ka.Klass.cid)) kb.Klass.supers;
+  Klass.Unsafe.set_supers kb
+    (List.filter (fun c -> not (Oid.equal c ka.Klass.cid)) kb.Klass.supers);
   (* B now looks disconnected too; the asymmetry clause must still fire *)
   problem_mentioning "edge A->B not symmetric" (Invariants.check g)
 
 let test_invariant_root_with_supers () =
   let g, ka, _ = two_classes () in
   let kroot = Schema_graph.find_exn g (Schema_graph.root g) in
-  kroot.Klass.supers <- [ ka.Klass.cid ];
-  ka.Klass.subs <- Schema_graph.root g :: ka.Klass.subs;
+  Klass.Unsafe.set_supers kroot [ ka.Klass.cid ];
+  Klass.Unsafe.set_subs ka (Schema_graph.root g :: ka.Klass.subs);
   problem_mentioning "root has superclasses" (Invariants.check g)
 
 let test_invariant_disconnected () =
   let g, ka, kb = two_classes () in
-  kb.Klass.supers <- [];
-  ka.Klass.subs <- List.filter (fun c -> not (Oid.equal c kb.Klass.cid)) ka.Klass.subs;
+  Klass.Unsafe.set_supers kb [];
+  Klass.Unsafe.set_subs ka
+    (List.filter (fun c -> not (Oid.equal c kb.Klass.cid)) ka.Klass.subs);
   problem_mentioning "class B is disconnected" (Invariants.check g)
 
 let test_invariant_not_under_root () =
@@ -381,16 +383,16 @@ let test_invariant_not_under_root () =
   (* detach A from the root but keep B -> A intact: A is flagged as
      disconnected, and B as not a descendant of the root *)
   let kroot = Schema_graph.find_exn g (Schema_graph.root g) in
-  ka.Klass.supers <- [];
-  kroot.Klass.subs <-
-    List.filter (fun c -> not (Oid.equal c ka.Klass.cid)) kroot.Klass.subs;
+  Klass.Unsafe.set_supers ka [];
+  Klass.Unsafe.set_subs kroot
+    (List.filter (fun c -> not (Oid.equal c ka.Klass.cid)) kroot.Klass.subs);
   let problems = Invariants.check g in
   problem_mentioning "class A is disconnected" problems;
   problem_mentioning "class B is not a descendant of the root" problems
 
 let test_invariant_duplicate_name () =
   let g, _, kb = two_classes () in
-  kb.Klass.name <- "A";
+  Klass.Unsafe.set_name kb "A";
   problem_mentioning "duplicate class name A" (Invariants.check g)
 
 let test_invariant_missing_virtual_source () =
@@ -405,12 +407,54 @@ let test_invariant_missing_virtual_source () =
 let test_invariant_duplicate_local_prop () =
   let g, ka, _ = two_classes () in
   let p = stored "x" Value.TInt in
-  ka.Klass.local_props <- [ p; p ];
+  Klass.Unsafe.set_local_props ka [ p; p ];
   problem_mentioning "class A defines property x twice" (Invariants.check g)
 
 let test_invariant_clean_graph_has_no_problems () =
   let g, _, _ = two_classes () in
   Alcotest.(check (list string)) "clean" [] (Invariants.check g)
+
+(* ------------------------------------------------------------------ *)
+(* Schema-epoch memos against an uncached reference                    *)
+(* ------------------------------------------------------------------ *)
+
+(* A copy of the graph starts with empty memos, so it computes full
+   types and is-a closures from the class records alone. After every
+   step of a random evolution chain, the memoized answers of the evolving
+   graph must equal the copy's for every class. *)
+let memo_matches_fresh g =
+  let fresh = Schema_graph.copy g in
+  List.for_all
+    (fun c ->
+      Type_info.full_type g c = Type_info.full_type fresh c
+      && Oid.Set.equal (Schema_graph.ancestors g c) (Schema_graph.ancestors fresh c)
+      && Oid.Set.equal (Schema_graph.descendants g c)
+           (Schema_graph.descendants fresh c))
+    (Schema_graph.cids g)
+
+let prop_memo_matches_fresh =
+  QCheck.Test.make ~name:"schema-epoch memos == fresh graph" ~count:25
+    (QCheck.make ~print:string_of_int QCheck.Gen.(int_bound 10_000))
+    (fun seed ->
+      let module Tsem = Tse_core.Tsem in
+      let module Change = Tse_core.Change in
+      let rng = Random.State.make [| seed; 61 |] in
+      let rs =
+        Tse_workload.Random_schema.generate ~seed ~classes:8 ~objects:8
+          ~virtuals:3 ()
+      in
+      let g = Tse_db.Database.graph rs.db in
+      let tsem = Tsem.of_database rs.db in
+      ignore
+        (Tsem.define_view_by_names tsem ~name:"V"
+           (Tse_workload.Random_schema.class_names rs));
+      let ok = ref (memo_matches_fresh g) in
+      for _ = 1 to 6 do
+        (try ignore (Tsem.evolve tsem ~view:"V" (Test_property.random_change rng rs))
+         with Change.Rejected _ | Invalid_argument _ | Failure _ -> ());
+        ok := !ok && memo_matches_fresh g
+      done;
+      !ok)
 
 let suite =
   [
@@ -458,4 +502,5 @@ let suite =
       test_invariant_duplicate_local_prop;
     Alcotest.test_case "invariant: clean graph reports nothing" `Quick
       test_invariant_clean_graph_has_no_problems;
+    Qcheck_det.to_alcotest prop_memo_matches_fresh;
   ]

@@ -276,6 +276,46 @@ let test_server_unix_socket () =
           (Telemetry_server.addr srv));
     Alcotest.(check bool) "socket unlinked on stop" false (Sys.file_exists path)
 
+(* One client connects and sends nothing. The listener serves a single
+   connection at a time, so a concurrent scrape must still succeed once
+   the idle client's deadline has dropped it. If the scrape is still
+   pending well past that, the idle socket is closed to unblock the
+   listener and the test fails. *)
+let test_server_idle_client_cannot_stall () =
+  with_server (fun addr ->
+      let port = int_of_string (List.nth (String.split_on_char ':' addr) 1) in
+      let idle = Unix.socket ~cloexec:true Unix.PF_INET Unix.SOCK_STREAM 0 in
+      Fun.protect
+        ~finally:(fun () -> try Unix.close idle with Unix.Unix_error _ -> ())
+        (fun () ->
+          Unix.connect idle (Unix.ADDR_INET (Unix.inet_addr_loopback, port));
+          Unix.sleepf 0.05;
+          let t0 = Unix.gettimeofday () in
+          let finished = Atomic.make false in
+          let scraper =
+            Domain.spawn (fun () ->
+                let r = Telemetry_server.fetch ~addr ~path:"/metrics" in
+                Atomic.set finished true;
+                r)
+          in
+          let limit = Telemetry_server.conn_timeout_s +. 3.0 in
+          while
+            (not (Atomic.get finished)) && Unix.gettimeofday () -. t0 < limit
+          do
+            Unix.sleepf 0.01
+          done;
+          let elapsed = Unix.gettimeofday () -. t0 in
+          if not (Atomic.get finished) then Unix.close idle;
+          let result = Domain.join scraper in
+          Alcotest.(check bool)
+            (Printf.sprintf "scrape done in %.2fs (limit %.1fs)" elapsed limit)
+            true (elapsed < limit);
+          match result with
+          | Error e -> Alcotest.fail ("fetch /metrics: " ^ e)
+          | Ok body ->
+            Alcotest.(check bool) "well-formed exposition" true
+              (contains body "# TYPE tse_" && contains body "\ntse_")))
+
 (* ---- Watchdog ------------------------------------------------------- *)
 
 let quiet_warnings k =
@@ -350,6 +390,8 @@ let suite =
     Alcotest.test_case "server: /series, /rates, 404" `Quick
       test_server_series_and_rates;
     Alcotest.test_case "server: unix socket" `Quick test_server_unix_socket;
+    Alcotest.test_case "server: idle client cannot stall a scrape" `Quick
+      test_server_idle_client_cannot_stall;
     Alcotest.test_case "watchdog: fsync stall (W301)" `Quick
       test_watchdog_fsync_stall;
     Alcotest.test_case "watchdog: evolution budget (W302)" `Quick

@@ -253,8 +253,8 @@ let test_delete_method_prop_a () =
   (* install a method first, on both twins, then delete it *)
   let fx = fixture () in
   let mk u =
-    Klass.add_local_prop
-      (Schema_graph.find_exn (Database.graph u.Tse_workload.University.db) u.student)
+    Schema_graph.add_local_prop
+      (Database.graph u.Tse_workload.University.db) u.student
       (Prop.method_ ~origin:u.student "standing" Expr.(attr "gpa" >= Const (Value.Float 3.0)))
   in
   mk fx.uni;
