@@ -190,18 +190,23 @@ let integrate db cid =
       in
       (* intended type computed before any linking mutates inheritance *)
       let intended = intended_type db derivation in
+      let prior_ancestors =
+        List.map
+          (fun src -> (src, Schema_graph.ancestors graph src))
+          (Klass.sources k)
+      in
       link_by_derivation graph cid derivation intended;
       (* never leave the new class disconnected (Section 6.6.1's ROOT rule) *)
       if (Schema_graph.find_exn graph cid).supers = [] then
         Schema_graph.add_edge graph ~sup:(Schema_graph.root graph) ~sub:cid;
-      `Placed (k, intended)
+      `Placed (k, intended, prior_ancestors)
   in
   match placement with
   | `Duplicate existing ->
     Schema_graph.remove graph cid;
     Database.note_removed_class db cid;
     existing
-  | `Placed (k, intended) ->
+  | `Placed (k, intended, prior_ancestors) ->
     (* integrate: promote properties and repair inheritance edges *)
     (Trace.with_span "evolve.integrate" @@ fun () ->
      Failpoint.hit fp_integrate;
@@ -216,5 +221,5 @@ let integrate db cid =
          (fun acc src -> Oid.Set.union acc (Database.extent db src))
          Oid.Set.empty (Klass.sources k)
      in
-     Oid.Set.iter (fun o -> Database.reclassify db o) candidates);
+     Database.admit_class db cid ~prior_ancestors candidates);
     cid

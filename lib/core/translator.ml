@@ -73,6 +73,7 @@ let refresh_members ctx =
   in
   (* bulk entry point: fans out across the domain pool above the
      parallel threshold, and is exactly this Set.iter below it *)
+  Tse_obs.Trace.with_span "evolve.refresh" @@ fun () ->
   Database.reclassify_many ctx.db (Oid.Set.elements objs)
 
 (* The replacement view: every mapped class substituted (keeping its

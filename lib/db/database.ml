@@ -397,12 +397,12 @@ let isa_closure t set =
     (fun c acc -> Oid.Set.union acc (Schema_graph.ancestors t.graph c))
     set set
 
-(* One shape for the oracle, the cached engine and the checker: only how
-   a select predicate's verdict is obtained differs. *)
-let formula_holds_with pred_fn current (k : Klass.t) =
-  let mem c = Oid.Set.mem c current in
+(* One shape for the oracle, the cached engine, class admission and the
+   checker: only how membership of a class ([mem]) and a select
+   predicate's verdict ([pred_fn]) are obtained differs. *)
+let formula_holds_with ~mem pred_fn (k : Klass.t) =
   match k.kind with
-  | Klass.Base -> Oid.Set.mem k.cid current
+  | Klass.Base -> mem k.cid
   | Klass.Virtual d -> begin
     match d with
     | Klass.Select (c, pred) -> mem c && pred_fn k.cid pred
@@ -413,9 +413,6 @@ let formula_holds_with pred_fn current (k : Klass.t) =
     | Klass.Intersect (a, b) -> mem a && mem b
     | Klass.Difference (a, b) -> mem a && not (mem b)
   end
-
-let formula_holds t o current k =
-  formula_holds_with (fun _ pred -> holds t o pred) current k
 
 let eval_pred t o pred =
   Atomic.incr t.formula_evals;
@@ -450,10 +447,11 @@ let cached_verdict t vs o cid pred =
    data it carries) during synchronization. *)
 let membership_round t ~pred_fn ~base_closure ~order =
   let m = ref base_closure in
+  let mem c = Oid.Set.mem c !m in
   List.iter
     (fun cid ->
       let k = Schema_graph.find_exn t.graph cid in
-      if formula_holds_with pred_fn !m k then begin
+      if formula_holds_with ~mem pred_fn k then begin
         m := Oid.Set.add cid !m;
         m := Oid.Set.union !m (Schema_graph.ancestors t.graph cid)
       end)
@@ -626,6 +624,70 @@ let reclassify_incr t o dirty =
 let reclassify t o =
   if t.full_reclassify then reclassify_oracle t o
   else reclassify_incr t o None
+
+(* --- class admission ------------------------------------------------ *)
+
+let m_admit_fast = Metrics.counter "reclass.admit_fast"
+let m_admit_fallback = Metrics.counter "reclass.admit_fallback"
+
+(* Classification added [cid] and only edges next to it; edge repair
+   drops only transitively redundant ones. So no existing formula names
+   [cid], and no existing class gains an ancestor other than [cid] unless
+   [cid] sits above a class [s] whose ancestors before the placement
+   ([prior_ancestors], known for [cid]'s sources) do not cover [above],
+   [cid]'s own: that relates two existing classes, and property
+   resolution order can change for every member of [s]. *)
+let relates_existing_classes t cid ~above ~prior_ancestors =
+  List.exists
+    (fun s ->
+      match List.find_opt (fun (c, _) -> Oid.equal c s) prior_ancestors with
+      | Some (_, before) -> not (Oid.Set.subset above before)
+      | None -> true)
+    (Schema_graph.find_exn t.graph cid).subs
+
+let admit_class t cid ~prior_ancestors candidates =
+  let fallback o =
+    Metrics.incr m_admit_fallback;
+    reclassify t o
+  in
+  if t.full_reclassify then Oid.Set.iter (reclassify t) candidates
+  else
+    let above = Oid.Set.remove (root t) (Schema_graph.ancestors t.graph cid) in
+    let k = Schema_graph.find_exn t.graph cid in
+    if relates_existing_classes t cid ~above ~prior_ancestors then
+      Oid.Set.iter fallback candidates
+    else
+      let joining =
+        Oid.Set.filter
+          (fun o ->
+            formula_holds_with ~mem:(is_member t o) (eval_pred_compiled t o) k)
+          candidates
+      in
+      (* a select observing [cid] (an [In_class] test on its name, or the
+         carrier rule for a property [cid] declares) can flip for an
+         object that joins; with no joiner, nothing it reads has moved *)
+      if
+        (not (Oid.Set.is_empty joining))
+        && not (Oid.Set.is_empty (Deps.selects_on_class (deps t) cid))
+      then Oid.Set.iter fallback candidates
+      else
+        Oid.Set.iter
+          (fun o ->
+            let joins = Oid.Set.mem o joining in
+            if joins && not (Oid.Set.for_all (is_member t o) above) then
+              fallback o
+            else begin
+              Metrics.incr m_admit_fast;
+              Metrics.incr m_objects_visited;
+              if joins then begin
+                Slicing.add_to_class t.model o cid;
+                extent_ref t cid := Oid.Set.add o !(extent_ref t cid);
+                Oid.Tbl.remove (memos t).resolve_cache o
+              end;
+              notify t (Reclassified o);
+              if joins then notify t (Membership_delta (o, [ cid ], []))
+            end)
+          candidates
 
 (* --- parallel bulk reclassification --------------------------------- *)
 
@@ -927,12 +989,13 @@ let check t =
       let k = Schema_graph.find_exn t.graph cid in
       List.iter
         (fun o ->
-          let current =
-            List.fold_left
-              (fun acc c -> Oid.Set.add c acc)
-              Oid.Set.empty (member_classes t o)
+          let current = membership_set t o in
+          let should =
+            formula_holds_with
+              ~mem:(fun c -> Oid.Set.mem c current)
+              (fun _ pred -> holds t o pred)
+              k
           in
-          let should = formula_holds t o current k in
           let has = Oid.Set.mem cid current in
           if should && not has then
             add "object %s should be a member of %s by its derivation"

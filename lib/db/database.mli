@@ -64,8 +64,34 @@ val is_member : t -> Tse_store.Oid.t -> cid -> bool
 val member_classes : t -> Tse_store.Oid.t -> cid list
 
 val reclassify : t -> Tse_store.Oid.t -> unit
-(** Recompute the object's virtual-class memberships to a fixpoint and
-    synchronize implementation objects and extents. *)
+(** Recompute the object's virtual-class memberships to a fixpoint over
+    every virtual class and synchronize implementation objects and
+    extents. Emits [Reclassified], then [Membership_delta] if the set
+    moved. *)
+
+val admit_class :
+  t ->
+  cid ->
+  prior_ancestors:(cid * Tse_store.Oid.Set.t) list ->
+  Tse_store.Oid.Set.t ->
+  unit
+(** [admit_class t cid ~prior_ancestors candidates] populates the
+    just-classified virtual class [cid] from the candidates (its sources'
+    extents). [prior_ancestors] gives, for each source of [cid], its
+    strict ancestors before [cid] was linked. Each candidate ends with the
+    membership [reclassify] would give it, and with the same events.
+
+    Classification adds one class and only edges next to it, so a
+    settled membership can move by at most [cid]: each candidate is
+    decided by [cid]'s own formula and joins with one slice, one extent
+    insert and one [Membership_delta (o, [cid], [])]. The fixpoint
+    ([reclassify]) still runs for every candidate when the database is in
+    oracle mode, when [cid] sits above a class whose prior ancestors do
+    not cover [cid]'s (two existing classes become related), or when a
+    select observes [cid] ({!Tse_schema.Deps}) and some candidate joins;
+    and for a single candidate that satisfies the formula but lacks one
+    of [cid]'s ancestors. Counted by [reclass.admit_fast] and
+    [reclass.admit_fallback]. *)
 
 val reclassify_all : t -> unit
 (** Reclassify every object, starting from cold verdict memos: every

@@ -210,14 +210,17 @@ let read_request fd =
   Buffer.contents buf
 
 let path_of_request req =
-  (* "GET /path HTTP/1.x" *)
-  match String.index_opt req ' ' with
-  | None -> "/"
-  | Some i -> (
-    let rest = String.sub req (i + 1) (String.length req - i - 1) in
-    match String.index_opt rest ' ' with
-    | None -> "/"
-    | Some j -> String.sub rest 0 j)
+  (* "GET /path?query#fragment HTTP/1.x", first line only *)
+  let before c s =
+    match String.index_opt s c with Some i -> String.sub s 0 i | None -> s
+  in
+  let target =
+    match String.split_on_char ' ' (req |> before '\r' |> before '\n') with
+    | _meth :: target :: _ -> target
+    | _ -> ""
+  in
+  let path = target |> before '?' |> before '#' in
+  if String.length path > 0 && path.[0] = '/' then path else "/"
 
 let write_all fd s =
   let len = String.length s in

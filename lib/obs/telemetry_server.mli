@@ -43,6 +43,13 @@ val render_metrics : unit -> string
 val render_rates : Timeseries.t option -> string
 (** The [/rates] body. *)
 
+val path_of_request : string -> string
+(** The route a raw request names: the target of its first line
+    ("GET /metrics?x=1 HTTP/1.1" gives ["/metrics"]), with any query
+    string or fragment dropped. Total on arbitrary bytes: the result
+    always starts with ['/'] and holds no space, ['?'] or ['#']; a
+    request line without an absolute path gives ["/"]. *)
+
 val fetch : addr:string -> path:string -> (string, string) result
 (** One-shot HTTP/1.0 GET against [addr]; [Ok body] on a 200.  The
     client side of the protocol, used by [tse_cli top] and the CI

@@ -252,9 +252,49 @@ let test_server_series_and_rates () =
       (match Telemetry_server.fetch ~addr ~path:"/rates" with
       | Error e -> Alcotest.fail ("fetch /rates: " ^ e)
       | Ok body -> Alcotest.(check bool) "ops/s row" true (contains body "ops/s"));
+      (match Telemetry_server.fetch ~addr ~path:"/metrics?x=1#top" with
+      | Error e -> Alcotest.fail ("fetch /metrics with a query string: " ^ e)
+      | Ok body -> Alcotest.(check bool) "query string ignored" true (contains body "tse_"));
       match Telemetry_server.fetch ~addr ~path:"/nope" with
       | Error e -> Alcotest.(check bool) "404" true (contains e "404")
       | Ok _ -> Alcotest.fail "unknown route served 200")
+
+let test_path_of_request () =
+  List.iter
+    (fun (req, want) ->
+      Alcotest.(check string) (String.escaped req) want
+        (Telemetry_server.path_of_request req))
+    [
+      ("GET /metrics HTTP/1.1\r\nHost: x\r\n\r\n", "/metrics");
+      ("GET /metrics?x=1 HTTP/1.1\r\n", "/metrics");
+      ("GET /series#top HTTP/1.0", "/series");
+      ("GET /rates", "/rates");
+      ("GET http://host/metrics HTTP/1.1", "/");
+      ("GET  /metrics HTTP/1.1", "/");
+      ("GET\r\n/metrics HTTP/1.1", "/");
+      ("", "/");
+    ]
+
+(* The listener feeds whatever a client sent to [path_of_request]: on any
+   bytes it must answer with a routable path, never raise. Requests are
+   drawn from an alphabet rich in the separators the parser splits on. *)
+let prop_path_of_request_total =
+  let alphabet = [| ' '; '?'; '#'; '/'; '\r'; '\n'; '\000'; 'G'; 'E'; 'T'; 'm'; '%'; '\255' |] in
+  let gen =
+    QCheck.Gen.(
+      oneof
+        [
+          string;
+          string_size ~gen:(oneofa alphabet) (0 -- 40);
+          map (fun s -> "GET " ^ s) (string_size ~gen:(oneofa alphabet) (0 -- 40));
+        ])
+  in
+  QCheck.Test.make ~name:"path_of_request: total, routable result" ~count:2000
+    (QCheck.make ~print:String.escaped gen) (fun req ->
+      let p = Telemetry_server.path_of_request req in
+      String.length p > 0
+      && p.[0] = '/'
+      && not (String.exists (fun c -> c = ' ' || c = '?' || c = '#') p))
 
 let test_server_unix_socket () =
   let path =
@@ -389,6 +429,8 @@ let suite =
       test_server_metrics_endpoint;
     Alcotest.test_case "server: /series, /rates, 404" `Quick
       test_server_series_and_rates;
+    Alcotest.test_case "server: request-line parsing" `Quick test_path_of_request;
+    Qcheck_det.to_alcotest prop_path_of_request_total;
     Alcotest.test_case "server: unix socket" `Quick test_server_unix_socket;
     Alcotest.test_case "server: idle client cannot stall a scrape" `Quick
       test_server_idle_client_cannot_stall;
