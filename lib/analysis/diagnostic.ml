@@ -86,7 +86,7 @@ let pp ppf d =
 
 let to_json d =
   let esc = Tse_obs.Metrics.json_escape in
-  let opt = function None -> "null" | Some s -> Printf.sprintf "%S" (esc s) in
+  let opt = function None -> "null" | Some s -> "\"" ^ esc s ^ "\"" in
   Printf.sprintf
     "{\"severity\":\"%s\",\"code\":\"%s\",\"class\":%s,\"prop\":%s,\"message\":\"%s\"}"
     (severity_to_string d.severity)

@@ -1,9 +1,9 @@
 (** Optimistic concurrency control for multi-user sessions.
 
     The paper runs on GemStone, which supplies "persistent storage,
-    concurrency control, etc." (Section 5). The store's {!Tse_store.Txn}
-    gives heap-level atomicity; this module adds the multi-user layer:
-    GemStone-style optimistic sessions with commit-time validation.
+    concurrency control, etc." (Section 5). This module adds the
+    multi-user layer over the heap: GemStone-style optimistic sessions
+    with commit-time validation.
 
     A session buffers its writes and records the version of every object
     it read. [commit] validates that no recorded object has since been

@@ -191,17 +191,26 @@ let header_end s =
   in
   find 0
 
-let read_request fd =
-  (* GET requests are tiny; read until the blank line or a small cap. *)
+let max_request_bytes = 16384
+let max_header_lines = 64
+
+(* GET requests are tiny: read until the blank line, the byte cap or the
+   header line cap, whichever comes first. [arm] runs before every read. *)
+let read_request ~arm fd =
   let buf = Buffer.create 256 in
   let chunk = Bytes.create 1024 in
+  let lines = ref 0 in
   let rec loop () =
-    if Buffer.length buf > 16384 then ()
-    else begin
+    if Buffer.length buf <= max_request_bytes && !lines <= max_header_lines
+    then begin
+      arm ();
       match Unix.read fd chunk 0 (Bytes.length chunk) with
       | 0 -> ()
       | n ->
         Buffer.add_subbytes buf chunk 0 n;
+        for i = 0 to n - 1 do
+          if Bytes.get chunk i = '\n' then incr lines
+        done;
         if header_end (Buffer.contents buf) = None then loop ()
       | exception Unix.Unix_error (Unix.EINTR, _, _) -> loop ()
     end
@@ -222,12 +231,16 @@ let path_of_request req =
   let path = target |> before '?' |> before '#' in
   if String.length path > 0 && path.[0] = '/' then path else "/"
 
-let write_all fd s =
+let write_all ?(arm = ignore) fd s =
   let len = String.length s in
   let b = Bytes.of_string s in
   let rec go off =
     if off < len then
-      match Unix.write fd b off (len - off) with
+      match
+        arm ();
+        (* one write per armed call: [Unix.write] would loop internally *)
+        Unix.single_write fd b off (len - off)
+      with
       | n -> go (off + n)
       | exception Unix.Unix_error (Unix.EINTR, _, _) -> go off
   in
@@ -235,20 +248,33 @@ let write_all fd s =
 
 let conn_timeout_s = 2.0
 
-(* The listener serves one connection at a time, so every socket call on
-   a client gets a deadline: a client that sends nothing, or stops
-   reading, is dropped when it passes, not waited on forever. *)
+exception Deadline
+
+(* The listener serves one connection at a time, so each connection gets
+   one deadline for the whole request and response. Socket timeouts
+   restart on every call, so each call is re-armed with what is left of
+   the budget: a client that sends nothing, trickles bytes or reads
+   slowly is dropped when the deadline passes, not waited on forever. *)
 let handle_conn ts fd =
+  let deadline = Unix.gettimeofday () +. conn_timeout_s in
+  let arm () =
+    let left = deadline -. Unix.gettimeofday () in
+    (* below the timeval's microsecond a timeout rounds to 0, which the
+       kernel reads as no timeout at all *)
+    if left < 0.001 then raise Deadline;
+    Unix.setsockopt_float fd Unix.SO_RCVTIMEO left;
+    Unix.setsockopt_float fd Unix.SO_SNDTIMEO left
+  in
   Fun.protect
     ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
     (fun () ->
-      Unix.setsockopt_float fd Unix.SO_RCVTIMEO conn_timeout_s;
-      Unix.setsockopt_float fd Unix.SO_SNDTIMEO conn_timeout_s;
       try
-        match read_request fd with
+        match read_request ~arm fd with
         | "" -> ()
-        | req -> write_all fd (route ts (path_of_request req))
-      with Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) -> ())
+        | req -> write_all ~arm fd (route ts (path_of_request req))
+      with
+      | Deadline | Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
+        ())
 
 let start ?addr ?ts () =
   let addr = match addr with Some a -> a | None -> default_addr () in

@@ -27,8 +27,9 @@ val start : ?addr:string -> ?ts:Timeseries.t -> unit -> (t, string) result
     access are an expected environment. *)
 
 val conn_timeout_s : float
-(** Read and write deadline on every accepted connection: an idle or
-    stalled client holds the listener at most this long. *)
+(** Budget for one accepted connection's whole request and response:
+    an idle, trickling or slow-reading client holds the listener at most
+    this long. The request is also cut at 16 KiB or 64 header lines. *)
 
 val addr : t -> string
 (** Actually-bound address, in the same syntax [start] accepts. *)

@@ -4,9 +4,7 @@
     A heap cell is a tagged record of named slots. Both object models store
     their physical objects here: the intersection-class model stores one
     cell per conceptual object; the object-slicing model stores one cell per
-    conceptual object plus one per implementation object.
-
-    Mutations are journaled when a transaction is open (see {!Txn}). *)
+    conceptual object plus one per implementation object. *)
 
 type t
 
@@ -25,19 +23,16 @@ type op =
   | Remove_slot of Oid.t * string
   | Swap of Oid.t * Oid.t
       (** The physical mutation language: what the WAL records and what
-          {!Recovery} replays. Every state change of the heap — including
-          the compensating changes performed by a transaction rollback —
-          is expressible as a sequence of these. *)
+          {!Recovery} replays. Every state change of the heap is
+          expressible as a sequence of these. *)
 
 val create : unit -> t
 
 val set_logger : t -> (op -> unit) option -> unit
 (** Install (or remove) the mutation observer. The logger sees every
-    physical change in execution order, {e including} the compensating
-    ops applied while a transaction aborts — so replaying the logged
-    sequence against a copy of the starting heap reproduces the final
-    heap exactly, whatever mix of commits and aborts produced it. Used by
-    the durability layer ({!Tse_db.Durable}). *)
+    physical change in execution order, so replaying the logged sequence
+    against a copy of the starting heap reproduces the final heap
+    exactly. Used by the durability layer ({!Tse_db.Durable}). *)
 
 val gen : t -> Oid.Gen.t
 (** The heap's OID generator (also used for fresh class ids by upper
@@ -104,17 +99,3 @@ val cell_count : t -> int
 
 val data_bytes : t -> int
 (** Total payload bytes of all slot values currently stored. *)
-
-(** {2 Journaling — used by {!Txn}} *)
-
-val push_journal : t -> unit
-val pop_journal_commit : t -> unit
-
-val pop_journal_abort : t -> unit
-(** Undo, in reverse order, every mutation recorded since the matching
-    {!push_journal}. If an individual undo raises, the remaining entries
-    are still undone, the journal stack stays balanced, and the first
-    error is re-raised afterwards (the failed entry's change survives).
-    Guarded by the ["txn.rollback"] failpoint. *)
-
-val journal_depth : t -> int

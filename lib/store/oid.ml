@@ -80,19 +80,6 @@ module Dense = struct
       t.arr;
     !acc
 
-  let capacity t = Array.length t.arr
-
-  let iter_range ~lo ~hi f t =
-    let hi = Stdlib.min hi (Array.length t.arr) in
-    for o = Stdlib.max lo 0 to hi - 1 do
-      match Array.unsafe_get t.arr o with Some v -> f o v | None -> ()
-    done
-
-  let fold_range ~lo ~hi f t init =
-    let acc = ref init in
-    iter_range ~lo ~hi (fun o v -> acc := f o v !acc) t;
-    !acc
-
   let length t = t.live
 end
 module Tbl = struct

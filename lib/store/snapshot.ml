@@ -78,10 +78,7 @@ let to_string heap =
     in
     List.iter (Buffer.add_string buf) parts
   end
-  else
-    Heap.fold heap ~init:[] ~f:(fun acc c -> c :: acc)
-    |> List.sort (fun (a : Heap.cell) b -> Oid.compare a.oid b.oid)
-    |> List.iter (encode_cell buf);
+  else Heap.iter heap (encode_cell buf);
   Buffer.add_string buf "end\n";
   Buffer.contents buf
 
@@ -136,98 +133,6 @@ let of_string s =
   List.iteri (fun i line -> handle (i + 1) line) lines;
   if not !seen_end then failwith "Snapshot: missing end marker";
   heap
-
-(* Parallel decode: hoist the per-line work that dominates the cost —
-   word splitting and [Value.decode] of slot payloads — into a parallel
-   classification pass over line chunks, then run the *same* sequential
-   state machine over the classified lines on the coordinating domain.
-   The machine re-checks every structural condition in the sequential
-   order ("slot before obj" / "unexpected slot" / "previous object
-   truncated" precede a stored payload-parse exception, exactly as the
-   sequential branch bodies do), so error messages, error precedence and
-   heap mutations are identical to [of_string].  Obj headers keep their
-   raw fields: [int_of_string] and [Heap.alloc_raw] failures must
-   interleave with heap allocation in sequential order. *)
-type parsed_line =
-  | P_skip  (* empty, header, or gen line — ignored anywhere *)
-  | P_obj of string * string * string  (* raw oid, tag, nslots fields *)
-  | P_slot of string * Value.t  (* unescaped name, decoded payload *)
-  | P_slot_err of string * exn  (* name present but payload undecodable *)
-  | P_end
-  | P_other  (* unrecognized *)
-
-let classify line =
-  if String.length line = 0 then P_skip
-  else
-    match String.split_on_char ' ' line with
-    | [ "TSE-HEAP"; "1" ] -> P_skip
-    | [ "gen"; _n ] -> P_skip
-    | [ "obj"; oid_s; tag; nslots ] -> P_obj (oid_s, tag, nslots)
-    | "slot" :: name :: rest -> (
-      let payload = String.concat " " rest in
-      match Value.decode payload 0 with
-      | v, _ -> P_slot (unescape name, v)
-      | exception e -> P_slot_err (name, e))
-    | [ "end" ] -> P_end
-    | _ -> P_other
-
-let of_string_par pool s =
-  let heap = Heap.create () in
-  let lines = Array.of_list (String.split_on_char '\n' s) in
-  let parsed = Array.make (Array.length lines) P_skip in
-  Pool.run pool ~n:(Array.length lines) (fun ~lo ~hi ->
-      for i = lo to hi - 1 do
-        parsed.(i) <- classify lines.(i)
-      done);
-  let current = ref None in
-  let expect_slots = ref 0 in
-  let seen_end = ref false in
-  let handle lineno line p =
-    let fail what = fail lineno line what in
-    if !seen_end then ()
-    else
-      match p with
-      | P_skip -> ()
-      | P_obj (oid_s, tag, nslots) ->
-        if !expect_slots > 0 then fail "previous object truncated";
-        let oid = Oid.of_int (int_of_string oid_s) in
-        let oid = Heap.alloc_raw heap ~oid ~tag:(unescape tag) in
-        current := Some oid;
-        expect_slots := int_of_string nslots
-      | P_slot (name, v) ->
-        let oid =
-          match !current with
-          | Some o -> o
-          | None -> fail "slot before obj"
-        in
-        if !expect_slots <= 0 then fail "unexpected slot";
-        Heap.set_slot heap oid name v;
-        expect_slots := !expect_slots - 1
-      | P_slot_err (_name, e) ->
-        (match !current with
-        | Some _ -> ()
-        | None -> fail "slot before obj");
-        if !expect_slots <= 0 then fail "unexpected slot";
-        raise e
-      | P_end ->
-        if !expect_slots > 0 then fail "truncated object";
-        seen_end := true
-      | P_other -> fail "unrecognized line"
-  in
-  Array.iteri (fun i p -> handle (i + 1) lines.(i) p) parsed;
-  if not !seen_end then failwith "Snapshot: missing end marker";
-  heap
-
-let of_string s =
-  let pool = Pool.global () in
-  (* Gate on line count: tiny snapshots — including the hand-crafted
-     corrupt corpora in the tests — stay on the sequential machine. *)
-  let big () =
-    let lines = ref 1 in
-    String.iter (fun c -> if c = '\n' then incr lines) s;
-    !lines >= Pool.threshold ()
-  in
-  if Pool.size pool > 1 && big () then of_string_par pool s else of_string s
 
 let of_string s =
   Tse_obs.Trace.with_span "snapshot.decode" @@ fun () ->

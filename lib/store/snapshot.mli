@@ -13,9 +13,14 @@
     v} *)
 
 val to_string : Heap.t -> string
+(** Cells in ascending OID order. With a global {!Tse_pool.Pool} of more
+    than one domain and at least its work-size threshold of cells,
+    OID-range chunks render in parallel and are concatenated in chunk
+    order, so the bytes never depend on the pool size. *)
 
 val of_string : string -> Heap.t
-(** @raise Failure on malformed input, naming the offending line number. *)
+(** The one decoder: a sequential line machine on the calling domain.
+    @raise Failure on malformed input, naming the offending line number. *)
 
 val save : Heap.t -> string -> unit
 (** [save heap path] writes atomically (temp file + fsync + rename),

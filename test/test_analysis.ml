@@ -610,6 +610,17 @@ let prop_reachable_schemas_clean =
       done;
       Analysis.errors (Analysis.analyze (Database.graph rs.db)) = [])
 
+(* Subject names are user data: a quote, a backslash and UTF-8 bytes must
+   come out as one JSON string each, escaped once. *)
+let test_diagnostic_json_escapes_names () =
+  let d =
+    Diagnostic.make ~cls:"Caf\xc3\xa9\"x" ~prop:"a\\b" Diagnostic.Error
+      ~code:"E101" "m"
+  in
+  Alcotest.(check string) "valid JSON"
+    "{\"severity\":\"error\",\"code\":\"E101\",\"class\":\"Caf\xc3\xa9\\\"x\",\"prop\":\"a\\\\b\",\"message\":\"m\"}"
+    (Diagnostic.to_json d)
+
 let suite =
   [
     Alcotest.test_case "E101 undefined property" `Quick test_e101_undefined;
@@ -647,6 +658,8 @@ let suite =
     Alcotest.test_case "TSE_ANALYZE parsing" `Quick test_policy_of_string;
     Alcotest.test_case "report JSON shape" `Quick test_report_json_shape;
     Alcotest.test_case "diagnostic ordering" `Quick test_diagnostic_ordering;
+    Alcotest.test_case "diagnostic JSON escapes names" `Quick
+      test_diagnostic_json_escapes_names;
     Alcotest.test_case "report renderings are byte-stable" `Quick
       test_report_byte_stability;
     Alcotest.test_case "every declared code is produced" `Quick

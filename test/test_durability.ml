@@ -233,32 +233,6 @@ let test_durable_incremental_commits () =
     (Database.extent_size db2 student);
   Durable.close d2
 
-let test_durable_rollback_ops_replay () =
-  let dir = fresh_dir () in
-  let d, _ = Durable.open_dir ~dir () in
-  let db = Durable.db d in
-  let heap = Database.heap db in
-  let _, _, o1, _ = build_small db in
-  Durable.commit d;
-  let fp = fingerprint db in
-  (* an aborted transaction's compensating ops are logged too, so the
-     replayed heap lands exactly where the live one did *)
-  let r =
-    Txn.with_txn heap (fun () ->
-        Database.set_attr db o1 "age" (Value.Int 77);
-        raise Txn.Abort)
-  in
-  Alcotest.(check bool) "txn aborted" true (r = None);
-  Durable.commit d;
-  Durable.close d;
-  let d2, report = Durable.open_dir ~dir () in
-  Alcotest.(check bool) "do+undo ops were logged" true
-    (report.Recovery.batches_applied >= 2);
-  check Alcotest.string "aborted txn leaves no durable trace" fp
-    (fingerprint (Durable.db d2));
-  assert_consistent "reopened" (Durable.db d2);
-  Durable.close d2
-
 let test_durable_checkpoint () =
   let dir = fresh_dir () in
   let d, _ = Durable.open_dir ~dir () in
@@ -446,9 +420,9 @@ let test_atomic_write_crashes () =
       Sys.remove path)
     [ "snapshot"; "catalog" ]
 
-(* The matrix above, the atomic-write sweep, and the rollback test in
-   test_store must together exercise every failpoint the code declares —
-   a new failpoint without crash coverage fails here. *)
+(* The matrix above and the atomic-write sweep must together exercise
+   every failpoint the code declares — a new failpoint without crash
+   coverage fails here. *)
 let test_matrix_covers_every_failpoint () =
   let covered =
     List.map (fun (n, _, _) -> n) commit_cases
@@ -457,7 +431,6 @@ let test_matrix_covers_every_failpoint () =
     @ List.concat_map
         (fun p -> List.map (fun (n, _, _) -> n) (atomic_write_cases p))
         [ "snapshot"; "catalog" ]
-    @ [ "txn.rollback" (* exercised in test_store *) ]
     @ List.map (fun (n, _, _) -> n) (atomic_write_cases "checkpoint")
     @ [
         (* the evolution crash matrix in test_evolution_recovery *)
@@ -793,8 +766,6 @@ let suite =
       test_durable_uncommitted_lost;
     Alcotest.test_case "incremental commits" `Quick
       test_durable_incremental_commits;
-    Alcotest.test_case "aborted txn replay" `Quick
-      test_durable_rollback_ops_replay;
     Alcotest.test_case "checkpoint" `Quick test_durable_checkpoint;
     Alcotest.test_case "empty commit writes nothing" `Quick
       test_durable_empty_commit_writes_nothing;

@@ -1,6 +1,6 @@
-(* Parallel ≡ sequential oracle.  Every parallel path introduced by the
-   OID-sharded execution layer — compiled select/count scans, two-phase
-   reclassification, the snapshot codec and the WAL scanner — must be
+(* Parallel ≡ sequential oracle.  Every parallel path of the OID-sharded
+   execution layer — compiled select/count scans, two-phase
+   reclassification, the snapshot encoder and the WAL scanner — must be
    observationally identical to the sequential implementation at every
    domain count.  The sequential side always runs on a size-1 pool
    (which spawns nothing and is bit-identical to the pre-parallel
@@ -139,7 +139,7 @@ let prop_reclassify =
         par)
 
 (* ---------------------------------------------------------------- *)
-(* snapshot codec                                                    *)
+(* snapshot encoder                                                  *)
 (* ---------------------------------------------------------------- *)
 
 let prop_snapshot =
@@ -150,36 +150,12 @@ let prop_snapshot =
       in
       let heap = Database.heap rs.db in
       let enc, par_encs = sequential_then_parallel (fun () -> Snapshot.to_string heap) in
-      List.iter
+      List.for_all
         (fun (d, s) ->
           if not (String.equal s enc) then
-            QCheck.Test.fail_reportf "snapshot encode diverged at %d domains" d)
-        par_encs;
-      let dec, par_decs =
-        sequential_then_parallel (fun () -> Snapshot.of_string enc)
-      in
-      List.iter
-        (fun (d, h) ->
-          if not (Snapshot.roundtrip_equal dec h) then
-            QCheck.Test.fail_reportf "snapshot decode diverged at %d domains" d)
-        par_decs;
-      (* corrupt input: both modes must reject with the same error *)
-      let torn = String.sub enc 0 (String.length enc / 2) in
-      let outcome () =
-        match Snapshot.of_string torn with
-        | _ -> "decoded"
-        | exception Failure m -> "Failure: " ^ m
-        | exception Invalid_argument m -> "Invalid_argument: " ^ m
-      in
-      let seq_err, par_errs = sequential_then_parallel outcome in
-      List.for_all
-        (fun (d, e) ->
-          if not (String.equal e seq_err) then
-            QCheck.Test.fail_reportf
-              "corrupt-snapshot outcome diverged at %d domains: %s vs %s" d e
-              seq_err;
+            QCheck.Test.fail_reportf "snapshot encode diverged at %d domains" d;
           true)
-        par_errs)
+        par_encs)
 
 (* ---------------------------------------------------------------- *)
 (* WAL scanner                                                       *)

@@ -356,6 +356,94 @@ let test_server_idle_client_cannot_stall () =
             Alcotest.(check bool) "well-formed exposition" true
               (contains body "# TYPE tse_" && contains body "\ntse_")))
 
+(* A client that trickles one byte every 0.5 s never lets a single read
+   time out, so a per-call deadline alone would let it hold the listener
+   for hours. The whole exchange has one budget: a concurrent scrape must
+   be answered within it plus a second of slack. *)
+let test_server_trickling_client_cannot_stall () =
+  with_server (fun addr ->
+      let port = int_of_string (List.nth (String.split_on_char ':' addr) 1) in
+      let slow = Unix.socket ~cloexec:true Unix.PF_INET Unix.SOCK_STREAM 0 in
+      Fun.protect
+        ~finally:(fun () -> try Unix.close slow with Unix.Unix_error _ -> ())
+        (fun () ->
+          Unix.connect slow (Unix.ADDR_INET (Unix.inet_addr_loopback, port));
+          let send c =
+            match Unix.write_substring slow (String.make 1 c) 0 1 with
+            | _ -> true
+            | exception Unix.Unix_error _ -> false (* dropped by the server *)
+          in
+          ignore (send 'G');
+          Unix.sleepf 0.05;
+          let finished = Atomic.make false in
+          let scraper =
+            Domain.spawn (fun () ->
+                let t0 = Unix.gettimeofday () in
+                let r = Telemetry_server.fetch ~addr ~path:"/metrics" in
+                Atomic.set finished true;
+                (Unix.gettimeofday () -. t0, r))
+          in
+          (* never a blank line, so the header never ends *)
+          let trickle = "ET /metrics HTTP/1.0\r\nX-Slow: yes\r\n" in
+          let t0 = Unix.gettimeofday () in
+          let rec loop i =
+            if (not (Atomic.get finished)) && Unix.gettimeofday () -. t0 < 6.0
+            then begin
+              Unix.sleepf 0.5;
+              if send trickle.[i mod String.length trickle] then loop (i + 1)
+            end
+          in
+          loop 0;
+          Unix.close slow;
+          let elapsed, result = Domain.join scraper in
+          let limit = Telemetry_server.conn_timeout_s +. 1.0 in
+          Alcotest.(check bool)
+            (Printf.sprintf "scrape done in %.2fs (limit %.1fs)" elapsed limit)
+            true (elapsed < limit);
+          match result with
+          | Error e -> Alcotest.fail ("fetch /metrics: " ^ e)
+          | Ok body ->
+            Alcotest.(check bool) "well-formed exposition" true
+              (contains body "# TYPE tse_")))
+
+(* A header that never ends is cut at the header line cap and answered
+   at once, not read until the connection's deadline drops it unanswered. *)
+let test_server_header_line_cap () =
+  with_server (fun addr ->
+      let port = int_of_string (List.nth (String.split_on_char ':' addr) 1) in
+      let fd = Unix.socket ~cloexec:true Unix.PF_INET Unix.SOCK_STREAM 0 in
+      Fun.protect
+        ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
+        (fun () ->
+          Unix.connect fd (Unix.ADDR_INET (Unix.inet_addr_loopback, port));
+          Unix.setsockopt_float fd Unix.SO_RCVTIMEO 5.0;
+          let req =
+            "GET /metrics HTTP/1.0\r\n"
+            ^ String.concat ""
+                (List.init 100 (fun i -> Printf.sprintf "X-%d: y\r\n" i))
+          in
+          let t0 = Unix.gettimeofday () in
+          ignore (Unix.write_substring fd req 0 (String.length req));
+          let buf = Buffer.create 1024 and chunk = Bytes.create 4096 in
+          let rec drain () =
+            match Unix.read fd chunk 0 (Bytes.length chunk) with
+            | 0 -> ()
+            | n ->
+              Buffer.add_subbytes buf chunk 0 n;
+              drain ()
+            | exception Unix.Unix_error _ -> ()
+          in
+          drain ();
+          let elapsed = Unix.gettimeofday () -. t0 in
+          let resp = Buffer.contents buf in
+          Alcotest.(check bool)
+            (Printf.sprintf "answered in %.2fs" elapsed)
+            true
+            (elapsed < Telemetry_server.conn_timeout_s /. 2.);
+          Alcotest.(check bool) "200 with the exposition" true
+            (String.starts_with ~prefix:"HTTP/1.0 200" resp
+            && contains resp "# TYPE tse_")))
+
 (* ---- Watchdog ------------------------------------------------------- *)
 
 let quiet_warnings k =
@@ -434,6 +522,10 @@ let suite =
     Alcotest.test_case "server: unix socket" `Quick test_server_unix_socket;
     Alcotest.test_case "server: idle client cannot stall a scrape" `Quick
       test_server_idle_client_cannot_stall;
+    Alcotest.test_case "server: trickling client cannot stall a scrape" `Quick
+      test_server_trickling_client_cannot_stall;
+    Alcotest.test_case "server: header line cap" `Quick
+      test_server_header_line_cap;
     Alcotest.test_case "watchdog: fsync stall (W301)" `Quick
       test_watchdog_fsync_stall;
     Alcotest.test_case "watchdog: evolution budget (W302)" `Quick
