@@ -159,19 +159,27 @@ let link_by_derivation graph cid derivation intended =
 
 (* Materialize intended properties the class does not inherit at its
    position: MultiView code promotion. Shares the uid so diamond paths and
-   local/inherited duplicates resolve to a single property. *)
+   local/inherited duplicates resolve to a single property. All of them
+   are added in one mutation, in [intended]'s order. *)
 let materialize_props graph cid intended =
   let k = Schema_graph.find_exn graph cid in
-  List.iter
-    (fun (p : Prop.t) ->
-      let inherited =
-        List.exists (Prop.same_prop p) (Type_info.inherited_candidates graph cid p.name)
-      in
-      let local = Klass.has_local_prop k p.name in
-      if (not inherited) && not local then
-        let p = if Oid.equal p.origin cid then p else Prop.promote p in
-        Schema_graph.add_local_prop graph cid p)
-    intended
+  let promoted =
+    List.fold_left
+      (fun acc (p : Prop.t) ->
+        let inherited =
+          List.exists (Prop.same_prop p)
+            (Type_info.inherited_candidates graph cid p.name)
+        in
+        let local =
+          Klass.has_local_prop k p.name
+          || List.exists (fun (q : Prop.t) -> String.equal q.name p.name) acc
+        in
+        if inherited || local then acc
+        else (if Oid.equal p.origin cid then p else Prop.promote p) :: acc)
+      [] intended
+  in
+  if promoted <> [] then
+    Schema_graph.add_local_props graph cid (List.rev promoted)
 
 let integrate db cid =
   let graph = Database.graph db in

@@ -26,6 +26,10 @@ let resolve view name =
 type ctx = {
   db : Database.t;
   view : View_schema.t;
+  (* the old view's generated hierarchy, computed once: a change adds
+     classes outside the old view but no is-a relationship between two of
+     its classes, so the hierarchy stays valid until [stitch] *)
+  edges : (cid * cid) list;
   mapping : (cid * cid) list ref;  (* old -> new, insertion ordered *)
 }
 
@@ -45,7 +49,6 @@ let map_or_id ctx cid = Option.value (mapped ctx cid) ~default:cid
    edge, when the change is delete_edge, is excluded by the caller. *)
 let stitch ?(except = []) ctx =
   let graph = Database.graph ctx.db in
-  let edges = Generation.edges graph ctx.view in
   List.iter
     (fun (sup, sub) ->
       let skip =
@@ -61,7 +64,7 @@ let stitch ?(except = []) ctx =
           && not (Schema_graph.is_ancestor_or_self graph ~anc:sub' ~desc:sup')
         then Schema_graph.add_edge graph ~sup:sup' ~sub:sub'
       end)
-    edges
+    ctx.edges
 
 (* After restructuring, recompute memberships of every object that could
    be affected (members of any replaced class). *)
@@ -85,7 +88,14 @@ let finish ctx =
     (View_schema.copy ctx.view)
     !(ctx.mapping)
 
-let make_ctx db view = { db; view; mapping = ref [] }
+let make_ctx db view =
+  { db; view; edges = Generation.edges (Database.graph db) view; mapping = ref [] }
+
+(* The direct subclasses of [cid] in the old view. *)
+let direct_subs ctx cid =
+  List.filter_map
+    (fun (sup, sub) -> if Oid.equal sup cid then Some sub else None)
+    ctx.edges
 
 (* ------------------------------------------------------------------ *)
 (* 6.1 / 6.3: add_attribute, add_method                                 *)
@@ -123,7 +133,7 @@ let add_property db view ~cls_name ~prop_name ~mk_prop =
             map_add ctx ~old_cid:sub ~new_cid:sub';
             walk sub
           end)
-      (Generation.direct_subs_in_view graph view tmp)
+      (direct_subs ctx tmp)
   in
   walk cls;
   stitch ctx;
@@ -192,7 +202,7 @@ let delete_property db view ~cls_name ~prop_name ~want_stored =
             walk sub
           end
         end)
-      (Generation.direct_subs_in_view graph view tmp)
+      (direct_subs ctx tmp)
   in
   let cls' =
     Ops.hide db ~name:(Ops.primed_name db (Schema_graph.name_of graph cls))
@@ -262,7 +272,7 @@ let add_edge db view ~sup_name ~sub_name =
           map_add ctx ~old_cid:sub ~new_cid:sub';
           walk_subs sub
         end)
-      (Generation.direct_subs_in_view graph view tmp)
+      (direct_subs ctx tmp)
   in
   let csub' = refine_with csub in
   map_add ctx ~old_cid:csub ~new_cid:csub';
@@ -405,12 +415,11 @@ let delete_edge db view ~sup_name ~sub_name ~connected_to =
   let ctx = make_ctx db view in
   let graph = Database.graph db in
   let csup = resolve view sup_name and csub = resolve view sub_name in
-  let view_edges = Generation.edges graph view in
   if
     not
       (List.exists
          (fun (s, b) -> Oid.equal s csup && Oid.equal b csub)
-         view_edges)
+         ctx.edges)
   then rejected "delete_edge: %s is not a direct superclass of %s in the view" sup_name sub_name;
   let upper =
     Option.map
@@ -504,44 +513,55 @@ let delete_edge db view ~sup_name ~sub_name ~connected_to =
 (* ------------------------------------------------------------------ *)
 
 (* Replay the derivation chain of [cid], substituting each origin base
-   class with its fresh empty subclass (Figure 13 (e)). *)
-let rec replay db ~subst ~basename cid =
+   class with its fresh empty subclass (Figure 13 (e)). The chain is a
+   DAG: a source shared by several derivations is replayed once. *)
+let replay db ~subst ~basename cid =
   let graph = Database.graph db in
-  let k = Schema_graph.find_exn graph cid in
-  match k.kind with
-  | Klass.Base -> begin
-    match List.assoc_opt (Oid.to_int cid) subst with
+  let replayed = Oid.Tbl.create 16 in
+  let rec sub cid =
+    match Oid.Tbl.find_opt replayed cid with
     | Some c -> c
-    | None -> rejected "add_class: origin %s not substituted" k.name
-  end
-  | Klass.Virtual d ->
-    let sub c = replay db ~subst ~basename c in
-    (* the name must be drawn after the sources are replayed, or nested
-       replays would race for the same fresh name *)
-    let fresh () = Ops.fresh_name db basename in
-    (match d with
-    | Klass.Select (c, pred) ->
-      let src = sub c in
-      Ops.select db ~name:(fresh ()) ~src pred
-    | Klass.Hide (ps, c) ->
-      let src = sub c in
-      Ops.hide db ~name:(fresh ()) ~props:ps ~src
-    | Klass.Refine (props, c) ->
-      let src = sub c in
-      Ops.refine db ~name:(fresh ()) ~props ~src
-    | Klass.Refine_from { src; prop_name; target } ->
-      let src = sub src in
-      let target = sub target in
-      Ops.refine_from db ~name:(fresh ()) ~src ~prop_name ~target
-    | Klass.Union (a, b) ->
-      let a = sub a and b = sub b in
-      Ops.union db ~name:(fresh ()) a b
-    | Klass.Intersect (a, b) ->
-      let a = sub a and b = sub b in
-      Ops.intersect db ~name:(fresh ()) a b
-    | Klass.Difference (a, b) ->
-      let a = sub a and b = sub b in
-      Ops.difference db ~name:(fresh ()) a b)
+    | None ->
+      let c = replay_one cid in
+      Oid.Tbl.replace replayed cid c;
+      c
+  and replay_one cid =
+    let k = Schema_graph.find_exn graph cid in
+    match k.kind with
+    | Klass.Base -> begin
+      match List.assoc_opt (Oid.to_int cid) subst with
+      | Some c -> c
+      | None -> rejected "add_class: origin %s not substituted" k.name
+    end
+    | Klass.Virtual d ->
+      (* the name must be drawn after the sources are replayed, or nested
+         replays would race for the same fresh name *)
+      let fresh () = Ops.fresh_name db basename in
+      (match d with
+      | Klass.Select (c, pred) ->
+        let src = sub c in
+        Ops.select db ~name:(fresh ()) ~src pred
+      | Klass.Hide (ps, c) ->
+        let src = sub c in
+        Ops.hide db ~name:(fresh ()) ~props:ps ~src
+      | Klass.Refine (props, c) ->
+        let src = sub c in
+        Ops.refine db ~name:(fresh ()) ~props ~src
+      | Klass.Refine_from { src; prop_name; target } ->
+        let src = sub src in
+        let target = sub target in
+        Ops.refine_from db ~name:(fresh ()) ~src ~prop_name ~target
+      | Klass.Union (a, b) ->
+        let a = sub a and b = sub b in
+        Ops.union db ~name:(fresh ()) a b
+      | Klass.Intersect (a, b) ->
+        let a = sub a and b = sub b in
+        Ops.intersect db ~name:(fresh ()) a b
+      | Klass.Difference (a, b) ->
+        let a = sub a and b = sub b in
+        Ops.difference db ~name:(fresh ()) a b)
+  in
+  sub cid
 
 let add_class db view ~cls_name ~connected_to =
   let graph = Database.graph db in

@@ -110,7 +110,7 @@ val reclassify_many : t -> Tse_store.Oid.t list -> unit
 
 val with_shared_read : t -> (unit -> 'a) -> 'a
 (** Run [f] in shared-read mode: concurrent read-only evaluation from
-    other domains is safe for its duration.  Warms every schema-epoch memo
+    other domains is safe for its duration.  Warms every schema memo
     a read can touch (ancestors, derivation order, Deps) so that worker
     lookups are pure reads, and switches [resolve_prop] memoization to
     bypass.  The caller must not

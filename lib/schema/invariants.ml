@@ -1,19 +1,45 @@
 module Oid = Tse_store.Oid
 
+(* Strict ancestors from the records alone: a corrupted graph may hold a
+   cycle, on which the graph's memoized closure would never return. Raises
+   [Invalid_argument] on a dangling superclass edge, as the graph does. *)
+let strict_ancestors graph cid =
+  let seen = ref Oid.Set.empty in
+  let rec visit c =
+    List.iter
+      (fun sup ->
+        if not (Oid.Set.mem sup !seen) then begin
+          seen := Oid.Set.add sup !seen;
+          visit sup
+        end)
+      (Schema_graph.supers graph c)
+  in
+  visit cid;
+  !seen
+
 let check graph =
   let problems = ref [] in
   let add fmt = Format.kasprintf (fun s -> problems := s :: !problems) fmt in
   let root = Schema_graph.root graph in
   let classes = Schema_graph.classes graph in
-  (* acyclicity: a class must never be its own strict ancestor. A
-     dangling superclass edge makes the ancestor closure raise; swallow
-     it here — the endpoint-existence clause below reports it. *)
-  List.iter
-    (fun (k : Klass.t) ->
-      match Schema_graph.ancestors graph k.cid with
-      | anc -> if Oid.Set.mem k.cid anc then add "cycle through class %s" k.name
-      | exception Invalid_argument _ -> ())
-    classes;
+  (* A dangling superclass edge makes the ancestor closure raise; such a
+     class has [None] here, and the endpoint-existence clause below
+     reports it. *)
+  let ancestors =
+    List.map
+      (fun (k : Klass.t) ->
+        match strict_ancestors graph k.cid with
+        | anc -> Some anc
+        | exception Invalid_argument _ -> None)
+      classes
+  in
+  (* acyclicity: a class must never be its own strict ancestor *)
+  List.iter2
+    (fun (k : Klass.t) anc ->
+      match anc with
+      | Some anc when Oid.Set.mem k.cid anc -> add "cycle through class %s" k.name
+      | Some _ | None -> ())
+    classes ancestors;
   (* edge symmetry and endpoint existence *)
   List.iter
     (fun (k : Klass.t) ->
@@ -35,19 +61,19 @@ let check graph =
         k.subs)
     classes;
   (* rootedness *)
-  List.iter
-    (fun (k : Klass.t) ->
+  List.iter2
+    (fun (k : Klass.t) anc ->
       if Oid.equal k.cid root then begin
         if k.supers <> [] then add "root has superclasses"
       end
       else begin
         if k.supers = [] then add "class %s is disconnected (no superclass)" k.name;
-        match Schema_graph.is_strict_ancestor graph ~anc:root ~desc:k.cid with
-        | true -> ()
-        | false -> add "class %s is not a descendant of the root" k.name
-        | exception Invalid_argument _ -> ()
+        match anc with
+        | Some anc when not (Oid.Set.mem root anc) ->
+          add "class %s is not a descendant of the root" k.name
+        | Some _ | None -> ()
       end)
-    classes;
+    classes ancestors;
   (* unique names *)
   let names = Hashtbl.create 16 in
   List.iter

@@ -26,8 +26,8 @@ type derivation =
 
 type kind = Base | Virtual of derivation
 
-(** [private]: every change goes through a {!Schema_graph} mutator, and
-    so moves the schema epoch that all schema-derived caches key on. *)
+(** [private]: every change goes through a {!Schema_graph} mutator, which
+    moves the schema epoch and drops the stale per-class memo entries. *)
 type t = private {
   cid : cid;
   mutable name : string;
@@ -39,8 +39,9 @@ type t = private {
   mutable subs : cid list;  (** direct subclasses *)
 }
 
-(** Raw construction and field writes, which do {e not} move the schema
-    epoch: for [Schema_graph], the schema codec and corruption tests. *)
+(** Raw construction and field writes, which neither move the schema
+    epoch nor drop memo entries: for [Schema_graph], the schema codec and
+    corruption tests. *)
 module Unsafe : sig
   val make :
     cid:cid -> name:string -> kind:kind -> local_props:Prop.t list ->

@@ -10,12 +10,17 @@ type slot = Slot : 'a Type.Id.t * 'a Oid.Tbl.t -> slot
 
 type t = {
   classes : Klass.t Oid.Tbl.t;
+  (* name -> cid, kept by every mutator that adds, renames or drops a
+     class *)
+  names : (string, cid) Hashtbl.t;
   gen : Oid.Gen.t;
   root : cid;
   (* the schema epoch: moved by every mutator below, and by nothing else,
      because class records are private to this module *)
   mutable version : int;
-  memos : slot list ref cell;
+  (* up-cone memos: the mutator that changes a class drops the entries of
+     that class and of its descendants *)
+  mutable memos : slot list;
 }
 
 let gen t = t.gen
@@ -32,10 +37,7 @@ let name_of t cid = (find_exn t cid).name
 let mem t cid = Oid.Tbl.mem t.classes cid
 
 let find_by_name t name =
-  Oid.Tbl.fold
-    (fun _ (k : Klass.t) acc ->
-      if acc = None && String.equal k.name name then Some k else acc)
-    t.classes None
+  Option.bind (Hashtbl.find_opt t.names name) (find t)
 
 let find_by_name_exn t name =
   match find_by_name t name with
@@ -64,7 +66,7 @@ let closure next start =
 
 let moved t = t.version <- t.version + 1
 
-(* --- schema-epoch memos ---------------------------------------------- *)
+(* --- schema-epoch cells ---------------------------------------------- *)
 
 let cell make = { make; value = None }
 
@@ -78,13 +80,15 @@ let current t c =
     c.value <- Some (t.version, v);
     v
 
+(* --- up-cone memos --------------------------------------------------- *)
+
 type 'a memo = 'a Type.Id.t
 
 let memo () = Type.Id.make ()
+let m_recomputes = Tse_obs.Metrics.counter "schema.memo.recomputes"
 
 let memoize : type a. t -> a memo -> (cid -> a) -> cid -> a =
  fun t id compute cid ->
-  let slots = current t t.memos in
   let rec table : slot list -> a Oid.Tbl.t = function
     | Slot (id', tbl) :: rest -> begin
       match Type.Id.provably_equal id id' with
@@ -93,15 +97,48 @@ let memoize : type a. t -> a memo -> (cid -> a) -> cid -> a =
     end
     | [] ->
       let tbl = Oid.Tbl.create 64 in
-      slots := Slot (id, tbl) :: !slots;
+      t.memos <- Slot (id, tbl) :: t.memos;
       tbl
   in
-  Oid.Tbl.find_or_add (table !slots) cid compute
+  let tbl = table t.memos in
+  match Oid.Tbl.find_opt tbl cid with
+  | Some v -> v
+  | None ->
+    Tse_obs.Metrics.incr m_recomputes;
+    let v = compute cid in
+    Oid.Tbl.replace tbl cid v;
+    v
+
+(* Drop the entries of [x] and of every class below it. A class's value
+   is made after its direct superclasses' (the [memoize] contract), so a
+   table holding a class holds all of its superclasses: the walk down
+   [subs] stops at a class no table holds, and a class it has emptied
+   stops a second visit. *)
+let drop_cone t x =
+  let rec visit c =
+    let held = ref false in
+    List.iter
+      (fun (Slot (_, tbl)) ->
+        if Oid.Tbl.mem tbl c then begin
+          Oid.Tbl.remove tbl c;
+          held := true
+        end)
+      t.memos;
+    if !held then List.iter visit (subs t c)
+  in
+  if t.memos <> [] then visit x
 
 let anc_memo : Oid.Set.t memo = memo ()
-let desc_memo : Oid.Set.t memo = memo ()
-let ancestors t cid = memoize t anc_memo (closure (supers t)) cid
-let descendants t cid = memoize t desc_memo (closure (subs t)) cid
+
+let rec ancestors t cid =
+  memoize t anc_memo
+    (fun cid ->
+      List.fold_left
+        (fun acc sup -> Oid.Set.union acc (Oid.Set.add sup (ancestors t sup)))
+        Oid.Set.empty (supers t cid))
+    cid
+
+let descendants t cid = closure (subs t) cid
 
 let is_strict_ancestor t ~anc ~desc = Oid.Set.mem anc (ancestors t desc)
 
@@ -109,8 +146,8 @@ let is_ancestor_or_self t ~anc ~desc =
   Oid.equal anc desc || is_strict_ancestor t ~anc ~desc
 
 let empty ~gen ~root ~version =
-  { classes = Oid.Tbl.create 64; gen; root; version;
-    memos = cell (fun () -> ref []) }
+  { classes = Oid.Tbl.create 64; names = Hashtbl.create 64; gen; root;
+    version; memos = [] }
 
 let create ~gen =
   let root = Oid.Gen.fresh gen in
@@ -118,6 +155,7 @@ let create ~gen =
   Oid.Tbl.replace t.classes root
     (Klass.Unsafe.make ~cid:root ~name:"Object" ~kind:Klass.Base
        ~local_props:[] ~supers:[] ~subs:[]);
+  Hashtbl.replace t.names "Object" root;
   t
 
 let check_fresh_name t name =
@@ -133,6 +171,7 @@ let link t ~sup ~sub =
   if not (List.exists (Oid.equal sub) ksup.subs) then begin
     Klass.Unsafe.set_subs ksup (ksup.subs @ [ sub ]);
     Klass.Unsafe.set_supers ksub (ksub.supers @ [ sup ]);
+    drop_cone t sub;
     moved t
   end
 
@@ -142,6 +181,7 @@ let unlink t ~sup ~sub =
     (List.filter (fun c -> not (Oid.equal c sub)) ksup.subs);
   Klass.Unsafe.set_supers ksub
     (List.filter (fun c -> not (Oid.equal c sup)) ksub.supers);
+  drop_cone t sub;
   moved t
 
 let add_edge t ~sup ~sub =
@@ -170,6 +210,7 @@ let register t ~name kind props =
   let local_props = List.map (fun p -> Prop.reoriginate p cid) props in
   Oid.Tbl.replace t.classes cid
     (Klass.Unsafe.make ~cid ~name ~kind ~local_props ~supers:[] ~subs:[]);
+  Hashtbl.replace t.names name cid;
   moved t;
   cid
 
@@ -183,11 +224,19 @@ let register_base t ~name ~props ~supers =
 let register_virtual t ~name derivation props =
   register t ~name (Klass.Virtual derivation) props
 
+(* Forget [k]'s name, unless another class has taken it since. *)
+let unname t (k : Klass.t) =
+  match Hashtbl.find_opt t.names k.name with
+  | Some c when Oid.equal c k.cid -> Hashtbl.remove t.names k.name
+  | Some _ | None -> ()
+
 let remove t cid =
   if Oid.equal cid t.root then invalid_arg "Schema_graph.remove: root";
   let k = find_exn t cid in
+  (* unlinking [cid] from its superclasses drops its cone *)
   List.iter (fun sup -> unlink t ~sup ~sub:cid) k.supers;
   List.iter (fun sub -> remove_edge t ~sup:cid ~sub) k.subs;
+  unname t k;
   Oid.Tbl.remove t.classes cid;
   moved t
 
@@ -195,23 +244,36 @@ let remove t cid =
 
 let rename t cid name =
   check_fresh_name t name;
-  Klass.Unsafe.set_name (find_exn t cid) name;
+  let k = find_exn t cid in
+  unname t k;
+  Klass.Unsafe.set_name k name;
+  Hashtbl.replace t.names name cid;
+  drop_cone t cid;
   moved t
 
 let set_local_props t cid f =
   let k = find_exn t cid in
   Klass.Unsafe.set_local_props k (f k.local_props);
+  drop_cone t cid;
   moved t
 
 let without name =
   List.filter (fun (p : Prop.t) -> not (String.equal p.name name))
 
-let add_local_prop t cid (p : Prop.t) =
-  if Klass.has_local_prop (find_exn t cid) p.name then
-    invalid_arg
-      (Printf.sprintf "Schema_graph.add_local_prop: %s already defines %s"
-         (name_of t cid) p.name);
-  set_local_props t cid (fun ps -> ps @ [ p ])
+let add_local_props t cid (props : Prop.t list) =
+  let k = find_exn t cid in
+  ignore
+    (List.fold_left
+       (fun seen (p : Prop.t) ->
+         if Klass.has_local_prop k p.name || List.mem p.name seen then
+           invalid_arg
+             (Printf.sprintf "Schema_graph.add_local_prop: %s already defines %s"
+                k.name p.name);
+         p.name :: seen)
+       [] props);
+  set_local_props t cid (fun ps -> ps @ props)
+
+let add_local_prop t cid p = add_local_props t cid [ p ]
 
 let remove_local_prop t cid name = set_local_props t cid (without name)
 
@@ -270,7 +332,10 @@ let is_redundant_edge t ~sup ~sub =
 (* A copy starts with empty memos, so it also serves as an uncached
    reference for the original. *)
 let copy t =
-  let t' = empty ~gen:t.gen ~root:t.root ~version:t.version in
+  let t' =
+    { (empty ~gen:t.gen ~root:t.root ~version:t.version) with
+      names = Hashtbl.copy t.names }
+  in
   Oid.Tbl.iter
     (fun cid (k : Klass.t) ->
       Oid.Tbl.replace t'.classes cid
@@ -285,7 +350,10 @@ let restore_empty ~gen ~root =
 
 let install t (k : Klass.t) =
   Oid.Gen.mark_used t.gen k.cid;
+  Option.iter (unname t) (find t k.cid);
   Oid.Tbl.replace t.classes k.cid k;
+  Hashtbl.replace t.names k.name k.cid;
+  t.memos <- [];
   moved t
 
 let relink_subs t =
@@ -300,6 +368,7 @@ let relink_subs t =
             Klass.Unsafe.set_subs ksup (ksup.subs @ [ sub ]))
         (find_exn t sub).supers)
     (List.sort Oid.compare order);
+  t.memos <- [];
   moved t
 
 let pp ppf t =

@@ -15,13 +15,19 @@ val gen : t -> Tse_store.Oid.Gen.t
 val version : t -> int
 (** The schema epoch. Every mutator below strictly increases it, and
     {!Klass.t} is private, so no class or edge can change without it
-    moving. Every schema-derived cache keys on it (DESIGN.md, "Schema
-    epoch"). *)
+    moving. Whole-graph caches, which {!cell}s hold, key on it; per-class
+    {!memoize} tables do not (DESIGN.md, "Schema epoch"). *)
 
-(** {2 Schema-epoch memos}
+(** {2 Up-cone memos}
 
-    A hit at the current epoch only reads, so memos warmed on one domain
-    may be read from several. *)
+    A per-class table whose value for class [c] reads only the records of
+    [c] and of its ancestors. Such a value goes stale only when one of
+    those records changes, so the mutator that changes class [x] drops
+    the entries of [x] and of its descendants from every table, and
+    nothing else does: a change that adds a class below or beside [c]
+    keeps [c]'s entry. {!install} and {!relink_subs} clear every table.
+    A hit only reads, so memos warmed on one domain may be read from
+    several. *)
 
 type 'a memo
 (** Names a per-class table that every graph keeps for itself; a {!copy}
@@ -30,10 +36,17 @@ type 'a memo
 val memo : unit -> 'a memo
 
 val memoize : t -> 'a memo -> (cid -> 'a) -> cid -> 'a
-(** [memoize t m f c] is [f c], computed at most once per epoch. *)
+(** [memoize t m f c] is [f c], computed at most once until a mutator
+    changes [c] or one of its ancestors. [f c] may read only the records
+    of [c] and of its ancestors, and must make the value of each direct
+    superclass of [c] through [memoize t m] first: the drop walk relies
+    on a table that holds a class holding all of its superclasses. Each
+    computation counts as one [schema.memo.recomputes]. *)
+
+(** {2 Schema-epoch cells} *)
 
 type 'a cell
-(** A value derived from one graph but owned elsewhere. *)
+(** A value derived from the whole graph but owned elsewhere. *)
 
 val cell : (unit -> 'a) -> 'a cell
 
@@ -61,6 +74,8 @@ val register_virtual :
 val find : t -> cid -> Klass.t option
 val find_exn : t -> cid -> Klass.t
 val find_by_name : t -> string -> Klass.t option
+(** A lookup in the graph's name index, which the mutators keep. *)
+
 val find_by_name_exn : t -> string -> Klass.t
 val name_of : t -> cid -> string
 val mem : t -> cid -> bool
@@ -77,6 +92,11 @@ val rename : t -> cid -> string -> unit
 
 val add_local_prop : t -> cid -> Prop.t -> unit
 (** @raise Invalid_argument if a local property with that name exists. *)
+
+val add_local_props : t -> cid -> Prop.t list -> unit
+(** Append the properties in order, with one epoch move.
+    @raise Invalid_argument if a local property with one of the names
+    exists, or the list names a property twice. *)
 
 val remove_local_prop : t -> cid -> string -> unit
 
@@ -99,9 +119,14 @@ val supers : t -> cid -> cid list
 val subs : t -> cid -> cid list
 
 val ancestors : t -> cid -> Tse_store.Oid.Set.t
-(** All transitive superclasses, excluding the class itself. *)
+(** All transitive superclasses, excluding the class itself; an up-cone
+    memo built from the memoized sets of the direct superclasses, so the
+    sets share structure. *)
 
 val descendants : t -> cid -> Tse_store.Oid.Set.t
+(** All transitive subclasses, excluding the class itself. A down-cone
+    changes whenever a class is added below, so it is walked afresh on
+    every call, not memoized. *)
 
 val is_strict_ancestor : t -> anc:cid -> desc:cid -> bool
 val is_ancestor_or_self : t -> anc:cid -> desc:cid -> bool

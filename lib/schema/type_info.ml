@@ -14,7 +14,7 @@ let add_candidate (p : Prop.t) cs =
 let merge_candidates a b = List.fold_left (fun acc p -> add_candidate p acc) a b
 
 (* visible g cid: name -> candidates, with local definitions overriding;
-   one table per graph, rebuilt when the schema epoch moves. *)
+   an up-cone memo: it reads cid's record and its superclasses' maps. *)
 let visible_memo : candidates SMap.t Schema_graph.memo = Schema_graph.memo ()
 
 let rec visible graph cid =

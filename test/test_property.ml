@@ -486,6 +486,89 @@ let prop_admission_equals_oracle =
       in
       go 10)
 
+(* A translation computes the old view's generated hierarchy once and
+   reuses it for its walks and for stitch (Translator.make_ctx). That is
+   sound only if no change kind alters the is-a relationships among the
+   old view's classes: over random chains of every change kind, the old
+   view's Generation.edges must be the same after Translator.apply as
+   before it. *)
+let prop_apply_keeps_old_view_edges =
+  QCheck.Test.make ~name:"a change keeps the old view's hierarchy (random chains)"
+    ~count:25 seed_arb (fun seed ->
+      let rs =
+        Random_schema.generate ~seed ~classes:7 ~objects:8 ~virtuals:4 ()
+      in
+      let tsem = Tsem.of_database rs.db in
+      let graph = Database.graph rs.db in
+      let rng = Random.State.make [| seed; 47 |] in
+      let fresh prefix = Printf.sprintf "%s%d" prefix (Random.State.int rng 10_000) in
+      let random_change view =
+        let names =
+          List.filter_map (Tse_views.View_schema.local_name view)
+            (Tse_views.View_schema.classes view)
+          |> List.sort String.compare |> Array.of_list
+        in
+        let pick () = names.(Random.State.int rng (Array.length names)) in
+        let c1 = pick () and c2 = pick () and c3 = pick () in
+        let attr_of c =
+          Random_schema.random_attr rng rs (Tse_views.View_schema.cid_of_exn view c)
+        in
+        let attr c = Option.value (attr_of c) ~default:"a0" in
+        match Random.State.int rng 13 with
+        | 0 -> Change.Add_attribute { cls = c1; def = Change.attr (fresh "n") Value.TInt }
+        | 1 -> Change.Delete_attribute { cls = c1; attr_name = attr c1 }
+        | 2 -> Change.Add_method { cls = c1; method_name = fresh "m"; body = Expr.int 1 }
+        | 3 -> (
+          let cid = Tse_views.View_schema.cid_of_exn view c1 in
+          match Type_info.methods graph cid with
+          | [] -> Change.Add_method { cls = c1; method_name = fresh "m"; body = Expr.int 1 }
+          | ms ->
+            let m = List.nth ms (Random.State.int rng (List.length ms)) in
+            Change.Delete_method { cls = c1; method_name = m.Prop.name })
+        | 4 -> Change.Add_edge { sup = c1; sub = c2 }
+        | 5 -> (
+          let name = Tse_views.View_schema.local_name view in
+          match Tse_views.Generation.edges graph view with
+          | [] -> Change.Add_edge { sup = c1; sub = c2 }
+          | edges ->
+            let sup, sub = List.nth edges (Random.State.int rng (List.length edges)) in
+            let connected_to = if Random.State.bool rng then Some c3 else None in
+            Change.Delete_edge
+              { sup = Option.get (name sup); sub = Option.get (name sub); connected_to })
+        | 6 ->
+          let connected_to = if Random.State.bool rng then Some c1 else None in
+          Change.Add_class { cls = fresh "N"; connected_to }
+        | 7 -> Change.Delete_class { cls = c1 }
+        | 8 -> Change.Rename_class { old_name = c1; new_name = fresh "R" }
+        | 9 ->
+          let predicate =
+            match attr_of c1 with
+            | Some a -> Expr.(attr a >= int (Random.State.int rng 100))
+            | None -> Expr.bool true
+          in
+          Change.Partition_class
+            { cls = c1; predicate; into_true = fresh "PT"; into_false = fresh "PF" }
+        | 10 -> Change.Coalesce_classes { a = c1; b = c2; as_name = fresh "U" }
+        | 11 -> Change.Insert_class { cls = fresh "I"; sup = c1; sub = c2 }
+        | _ -> Change.Delete_class_2 { cls = c1 }
+      in
+      let rec go i view =
+        if i = 0 || Tse_views.View_schema.classes view = [] then true
+        else begin
+          let change = random_change view in
+          let before = Tse_views.Generation.edges graph view in
+          match Translator.apply rs.db view change with
+          | view' ->
+            if Tse_views.Generation.edges graph view <> before then
+              QCheck.Test.fail_reportf "%s changed the old view's hierarchy"
+                (Change.to_string change)
+            else go (i - 1) view'
+          | exception (Change.Rejected _ | Tse_algebra.Ops.Error _) -> go (i - 1) view
+        end
+      in
+      go 15
+        (Tsem.define_view_by_names tsem ~name:"V" (Random_schema.class_names rs)))
+
 (* Both admission paths must be exercised by the random evolutions, or the
    property above proves nothing about one of them. *)
 let admission_equals_oracle_case =
@@ -517,4 +600,5 @@ let suite =
       prop_history_monotone;
       prop_trace_calibration;
       prop_trace_replay_consistent;
+      prop_apply_keeps_old_view_edges;
     ]

@@ -429,7 +429,11 @@ let memo_matches_fresh g =
       Type_info.full_type g c = Type_info.full_type fresh c
       && Oid.Set.equal (Schema_graph.ancestors g c) (Schema_graph.ancestors fresh c)
       && Oid.Set.equal (Schema_graph.descendants g c)
-           (Schema_graph.descendants fresh c))
+           (Schema_graph.descendants fresh c)
+      && Option.map
+           (fun (k : Klass.t) -> k.cid)
+           (Schema_graph.find_by_name g (Schema_graph.name_of g c))
+         = Some c)
     (Schema_graph.cids g)
 
 let prop_memo_matches_fresh =
@@ -449,12 +453,126 @@ let prop_memo_matches_fresh =
         (Tsem.define_view_by_names tsem ~name:"V"
            (Tse_workload.Random_schema.class_names rs));
       let ok = ref (memo_matches_fresh g) in
-      for _ = 1 to 6 do
+      for _ = 1 to 30 do
+        (* on some chains add_class's replay hides a property its
+           replayed source lacks and escapes as Ops.Error (ROADMAP, known
+           bugs); the memos must still match after such a partial change *)
         (try ignore (Tsem.evolve tsem ~view:"V" (Test_property.random_change rng rs))
-         with Change.Rejected _ | Invalid_argument _ | Failure _ -> ());
+         with
+         | Change.Rejected _ | Invalid_argument _ | Failure _
+         | Tse_algebra.Ops.Error _ -> ());
         ok := !ok && memo_matches_fresh g
       done;
       !ok)
+
+(* ------------------------------------------------------------------ *)
+(* Up-cone memos: a mutator drops only the touched class's down-cone    *)
+(* ------------------------------------------------------------------ *)
+
+(* Object > A{a} > B{b} > D, A > C and Object > E{e} > F. *)
+let cone_fixture () =
+  let g = graph () in
+  let base name props supers =
+    Schema_graph.register_base g ~name ~props ~supers
+  in
+  let a = base "A" [ stored "a" Value.TInt ] [] in
+  let b = base "B" [ stored "b" Value.TInt ] [ a ] in
+  ignore (base "D" [] [ b ]);
+  let c = base "C" [] [ a ] in
+  let e = base "E" [ stored "e" Value.TInt ] [] in
+  ignore (base "F" [] [ e ]);
+  (g, a, b, c, e)
+
+let recomputes () = Tse_obs.Metrics.find_counter "schema.memo.recomputes"
+
+(* Which entries a mutation must drop: the down-cone of one class, none,
+   or all. *)
+type touch = Cone of Klass.cid | Nothing | All
+
+(* Warm every memo, mutate, then: a class outside the dropped set (the
+   touched class's down-cone before or after the mutation) answers from
+   its old entry, physically equal and without a recompute; a class inside
+   is recomputed and agrees with a copy, which starts with no memos. *)
+let check_cone label g touch mutate =
+  let cids = Schema_graph.cids g in
+  List.iter (fun c -> ignore (Type_info.full_type g c)) cids;
+  let cone () =
+    match touch with
+    | Cone c when Schema_graph.mem g c ->
+      Oid.Set.add c (Schema_graph.descendants g c)
+    | Cone _ | Nothing -> Oid.Set.empty
+    | All -> Oid.Set.of_list (Schema_graph.cids g)
+  in
+  let before = List.map (fun c -> (c, Schema_graph.ancestors g c)) cids in
+  let cone_before = cone () in
+  mutate ();
+  let inside = Oid.Set.union cone_before (cone ()) in
+  let fresh = Schema_graph.copy g in
+  let live = List.filter (fun (c, _) -> Schema_graph.mem g c) before in
+  let outside, inside = List.partition (fun (c, _) -> not (Oid.Set.mem c inside)) live in
+  let n0 = recomputes () in
+  List.iter
+    (fun (c, old) ->
+      let name = Schema_graph.name_of g c in
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: %s keeps its closure" label name)
+        true
+        (Schema_graph.ancestors g c == old);
+      ignore (Type_info.full_type g c))
+    outside;
+  check Alcotest.int (label ^ ": no recompute outside the cone") n0 (recomputes ());
+  List.iter
+    (fun (c, old) ->
+      let name = Schema_graph.name_of g c in
+      let now = Schema_graph.ancestors g c in
+      (* the root's closure is the shared empty set, whatever made it *)
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: %s recomputed" label name)
+        true
+        (Oid.Set.is_empty old || now != old);
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: %s closure as on a copy" label name)
+        true
+        (Oid.Set.equal now (Schema_graph.ancestors fresh c));
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: %s full type as on a copy" label name)
+        true
+        (Type_info.full_type g c = Type_info.full_type fresh c))
+    inside
+
+let test_memo_cone_per_mutator () =
+  let case label mutation =
+    let g, a, b, c, e = cone_fixture () in
+    let touch, mutate = mutation g (a, b, c, e) in
+    check_cone label g touch mutate
+  in
+  case "add_edge (link)" (fun g (_, _, c, e) ->
+      (Cone c, fun () -> Schema_graph.add_edge g ~sup:e ~sub:c));
+  case "remove_edge (unlink)" (fun g (a, b, _, _) ->
+      (Cone b, fun () -> Schema_graph.remove_edge g ~sup:a ~sub:b));
+  case "add_local_prop" (fun g (_, b, _, _) ->
+      (Cone b, fun () -> Schema_graph.add_local_prop g b (stored "x" Value.TInt)));
+  case "add_local_props" (fun g (_, _, _, e) ->
+      ( Cone e,
+        fun () ->
+          Schema_graph.add_local_props g e
+            [ stored "x" Value.TInt; stored "y" Value.TInt ] ));
+  case "remove_local_prop" (fun g (a, _, _, _) ->
+      (Cone a, fun () -> Schema_graph.remove_local_prop g a "a"));
+  case "replace_local_prop" (fun g (_, _, _, e) ->
+      (Cone e, fun () -> Schema_graph.replace_local_prop g e (stored "e" Value.TString)));
+  case "rename" (fun g (_, b, _, _) -> (Cone b, fun () -> Schema_graph.rename g b "B2"));
+  case "remove" (fun g (_, b, _, _) -> (Cone b, fun () -> Schema_graph.remove g b));
+  case "register" (fun g (a, _, _, _) ->
+      ( Nothing,
+        fun () ->
+          ignore
+            (Schema_graph.register_virtual g ~name:"V"
+               (Klass.Select (a, Expr.bool true))
+               []) ));
+  case "install" (fun g (_, b, _, _) ->
+      (All, fun () -> Schema_graph.install g (Schema_graph.find_exn g b)));
+  case "relink_subs" (fun g _ -> (All, fun () -> Schema_graph.relink_subs g))
 
 let suite =
   [
@@ -502,5 +620,7 @@ let suite =
       test_invariant_duplicate_local_prop;
     Alcotest.test_case "invariant: clean graph reports nothing" `Quick
       test_invariant_clean_graph_has_no_problems;
+    Alcotest.test_case "up-cone memos: each mutator drops its cone" `Quick
+      test_memo_cone_per_mutator;
     Qcheck_det.to_alcotest prop_memo_matches_fresh;
   ]

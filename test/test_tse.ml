@@ -458,6 +458,46 @@ let test_add_class_fig12_virtual_anchor () =
    with Tse_update.Generic.Rejected _ -> ());
   Alcotest.(check (list string)) "consistent" [] (Database.check db)
 
+(* add_class replays the anchor's derivation DAG onto the fresh origin
+   subclass. Here every level derives twice from the level above,
+   X(i+1) = X(i) & S(i) with S(i) = select from X(i), so the DAG has
+   2 * depth virtual classes while its unfolding as a tree has over
+   2^depth. A replay that visits each shared source once registers one
+   class per DAG node, plus the origin's substitute. *)
+let test_add_class_replays_shared_sources_once () =
+  let fx = fixture ~n:4 () in
+  let db = fx.uni.db in
+  let graph = Database.graph db in
+  let depth = 8 in
+  let rec level i x =
+    if i = depth then x
+    else
+      let s =
+        Tse_algebra.Ops.select db ~name:(Printf.sprintf "S%d" i) ~src:x
+          Expr.(attr "age" >= int i)
+      in
+      level (i + 1)
+        (Tse_algebra.Ops.intersect db ~name:(Printf.sprintf "X%d" (i + 1)) x s)
+  in
+  let top = level 0 fx.uni.student in
+  let anchor = Schema_graph.name_of graph top in
+  ignore (Tsem.define_view_by_names fx.tsem ~name:"VD" [ "Person"; anchor ]);
+  let gen = Schema_graph.gen graph in
+  let drawn0 = Oid.Gen.count gen and size0 = Schema_graph.size graph in
+  let v1 =
+    Tsem.evolve fx.tsem ~view:"VD"
+      (Change.Add_class { cls = "Deep"; connected_to = Some anchor })
+  in
+  let dag = 2 * depth in
+  check Alcotest.int "classes registered: one per DAG node and the substitute"
+    (dag + 1)
+    (Oid.Gen.count gen - drawn0);
+  check Alcotest.int "classes kept" (dag + 1) (Schema_graph.size graph - size0);
+  let cadd = View_schema.cid_of_exn v1 "Deep" in
+  Alcotest.(check bool) "subclass of the anchor" true
+    (Schema_graph.is_strict_ancestor graph ~anc:top ~desc:cadd);
+  Alcotest.(check (list string)) "consistent" [] (Database.check db)
+
 let test_insert_class_fig14 () =
   let fx, v1 =
     check_prop_a
@@ -699,6 +739,8 @@ let suite =
       test_add_class_base_anchor_prop_a;
     Alcotest.test_case "add_class: virtual anchor (Fig 12/13)" `Quick
       test_add_class_fig12_virtual_anchor;
+    Alcotest.test_case "add_class: shared sources replayed once" `Quick
+      test_add_class_replays_shared_sources_once;
     Alcotest.test_case "insert_class: Figure 14" `Quick test_insert_class_fig14;
     Alcotest.test_case "delete_class: view-only removal" `Quick
       test_delete_class_removes_from_view_only;
