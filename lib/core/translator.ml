@@ -66,18 +66,20 @@ let stitch ?(except = []) ctx =
       end)
     ctx.edges
 
-(* After restructuring, recompute memberships of every object that could
-   be affected (members of any replaced class). *)
+(* Every edge a translation adds holds in the extents already (DESIGN.md
+   §7), so admission settles every membership and nothing is left to
+   refresh. The oracle still re-runs the full fixpoint over the members of
+   every replaced class, as the reference the incremental twin is
+   compared against. *)
 let refresh_members ctx =
-  let objs =
-    List.fold_left
-      (fun acc (old_cid, _) -> Oid.Set.union acc (Database.extent ctx.db old_cid))
-      Oid.Set.empty !(ctx.mapping)
-  in
-  (* bulk entry point: fans out across the domain pool above the
-     parallel threshold, and is exactly this Set.iter below it *)
-  Tse_obs.Trace.with_span "evolve.refresh" @@ fun () ->
-  Database.reclassify_many ctx.db (Oid.Set.elements objs)
+  if Database.full_reclassify ctx.db then
+    let objs =
+      List.fold_left
+        (fun acc (old_cid, _) -> Oid.Set.union acc (Database.extent ctx.db old_cid))
+        Oid.Set.empty !(ctx.mapping)
+    in
+    Tse_obs.Trace.with_span "evolve.refresh" @@ fun () ->
+    Oid.Set.iter (Database.reclassify ctx.db) objs
 
 (* The replacement view: every mapped class substituted (keeping its
    view-local name — the renaming step of Section 6.1.3). *)
@@ -307,6 +309,72 @@ let add_edge db view ~sup_name ~sub_name =
   refresh_members ctx;
   finish ctx
 
+(* The sources a class's extent is computed from: a [Refine_from]'s
+   property provider is not one. *)
+let extent_sources (k : Klass.t) =
+  match k.kind with
+  | Klass.Base -> []
+  | Klass.Virtual (Klass.Refine_from { target; _ }) -> [ target ]
+  | Klass.Virtual _ -> Klass.sources k
+
+(* A replayer: [replay ~basename cid] re-derives [cid] with every class in
+   [subst] replaced by its substitute (Figure 13 (e)), drawing the names of
+   the classes it registers from [basename]. A class none of whose sources
+   changes is kept as it is. With [~providers:false] a [Refine_from] keeps
+   its property provider and follows only its target, the source of its
+   extent. Results are memoized across calls, so a source shared by
+   several derivations is replayed once. *)
+let replayer ?(providers = true) db ~subst =
+  let graph = Database.graph db in
+  let replayed = Oid.Tbl.create 16 in
+  List.iter (fun (o, n) -> Oid.Tbl.replace replayed o n) subst;
+  let rec sub ~basename cid =
+    match Oid.Tbl.find_opt replayed cid with
+    | Some c -> c
+    | None ->
+      let c = replay_one ~basename cid in
+      Oid.Tbl.replace replayed cid c;
+      c
+  and replay_one ~basename cid =
+    match (Schema_graph.find_exn graph cid).kind with
+    | Klass.Base -> cid
+    | Klass.Virtual d ->
+      let sub = sub ~basename in
+      let d' =
+        match d with
+        | Klass.Select (c, pred) -> Klass.Select (sub c, pred)
+        | Klass.Hide (ps, c) -> Klass.Hide (ps, sub c)
+        | Klass.Refine (props, c) -> Klass.Refine (props, sub c)
+        | Klass.Refine_from { src; prop_name; target } ->
+          let src = if providers then sub src else src in
+          Klass.Refine_from { src; prop_name; target = sub target }
+        | Klass.Union (a, b) ->
+          let a = sub a in
+          Klass.Union (a, sub b)
+        | Klass.Intersect (a, b) ->
+          let a = sub a in
+          Klass.Intersect (a, sub b)
+        | Klass.Difference (a, b) ->
+          let a = sub a in
+          Klass.Difference (a, sub b)
+      in
+      if Klass.derivation_equal d d' then cid
+      else
+        (* the name must be drawn after the sources are replayed, or nested
+           replays would race for the same fresh name *)
+        let name = Ops.fresh_name db basename in
+        match d' with
+        | Klass.Select (src, pred) -> Ops.select db ~name ~src pred
+        | Klass.Hide (props, src) -> Ops.hide db ~name ~props ~src
+        | Klass.Refine (props, src) -> Ops.refine db ~name ~props ~src
+        | Klass.Refine_from { src; prop_name; target } ->
+          Ops.refine_from db ~name ~src ~prop_name ~target
+        | Klass.Union (a, b) -> Ops.union db ~name a b
+        | Klass.Intersect (a, b) -> Ops.intersect db ~name a b
+        | Klass.Difference (a, b) -> Ops.difference db ~name a b
+  in
+  sub
+
 (* ------------------------------------------------------------------ *)
 (* 6.6: delete_edge                                                     *)
 (* ------------------------------------------------------------------ *)
@@ -332,9 +400,10 @@ let version_lineage graph cid =
   in
   go Oid.Set.empty cid
 
-(* Global descendant reachability that avoids the deleted edge — the
-   "assuming the edge has been deleted" hypothetical of Section 6.6. It
-   must run on the global graph, not on the generated view hierarchy:
+(* The global is-a edges that survive the deletion of view edge (esup,
+   esub) — the "assuming the edge has been deleted" hypothetical of Section
+   6.6: [open_subs c] lists the subclasses [c] still reaches in one step.
+   It must run on the global graph, not on the generated view hierarchy:
    transitive reduction erases the redundant-but-vital direct edges of
    Figure 11's diamond. An edge (x, y) is treated as deleted when x is a
    version of the edge's superclass end and y a version of its subclass
@@ -344,28 +413,46 @@ let version_lineage graph cid =
    is-a relationship and stays open; the previous whole-source-lineage
    exclusion wrongly closed those alternate routes, which is what the
    Proposition B replays pinned. *)
-let reaches_avoiding graph ~esup ~esub ~blocked ~sub_versions a b =
+let deleted_edge_subs graph ~esup ~esub =
+  let sub_versions = version_lineage graph esub in
+  let blocked = version_lineage graph esup in
+  fun c ->
+    List.filter
+      (fun d ->
+        (not (Oid.equal c esup && Oid.equal d esub))
+        && not (Oid.Set.mem d sub_versions && Oid.Set.mem c blocked))
+      (Schema_graph.subs graph c)
+
+(* A non-empty path from [a] down to [b] along [open_subs]. *)
+let reaches open_subs a b =
   let seen = ref Oid.Set.empty in
   let rec go c =
     Oid.equal c b
     || List.exists
          (fun d ->
-           (not (Oid.equal c esup && Oid.equal d esub))
-           && (not (Oid.Set.mem d !seen))
-           && (not (Oid.Set.mem d sub_versions && Oid.Set.mem c blocked))
+           (not (Oid.Set.mem d !seen))
            &&
            (seen := Oid.Set.add d !seen;
             go d))
-         (Schema_graph.subs graph c)
+         (open_subs c)
   in
   (not (Oid.equal a b)) && go a
 
-(* The avoiding-reachability test for the deletion of view edge
-   (esup, esub), with the blocked version sets precomputed. *)
-let deleted_edge_avoiding graph ~esup ~esub =
-  let sub_versions = version_lineage graph esub in
-  let blocked = version_lineage graph esup in
-  reaches_avoiding graph ~esup ~esub ~blocked ~sub_versions
+(* The classes strictly below [a] along [open_subs], not walking on below a
+   class where [stop] holds. *)
+let below ?(stop = fun _ -> false) open_subs a =
+  let seen = ref Oid.Set.empty in
+  let rec go c =
+    List.iter
+      (fun d ->
+        if not (Oid.Set.mem d !seen) then begin
+          seen := Oid.Set.add d !seen;
+          if not (stop d) then go d
+        end)
+      (open_subs c)
+  in
+  go a;
+  !seen
 
 (* Uppermost providers within the view of the property identified by
    [uid]: view classes exposing it with no view member above them doing
@@ -392,9 +479,8 @@ let view_providers graph view ~name ~uid =
 
 (* findProperties: the properties [w] inherits only through the deleted
    edge — no uppermost provider still reaches [w] once the edge is gone. *)
-let view_find_properties db view ~esup ~esub w =
+let view_find_properties db view ~open_subs w =
   let graph = Database.graph db in
-  let avoiding = deleted_edge_avoiding graph ~esup ~esub in
   Type_info.full_type graph w
   |> List.filter_map (fun (name, entry) ->
          let candidates =
@@ -404,7 +490,7 @@ let view_find_properties db view ~esup ~esub w =
          in
          let survives (p : Prop.t) =
            let providers = view_providers graph view ~name ~uid:p.Prop.uid in
-           List.exists (fun c -> Oid.equal c w || avoiding c w) providers
+           List.exists (fun c -> Oid.equal c w || reaches open_subs c w) providers
            (* a property with no in-view provider comes from outside the
               view (or is local): it cannot be lost by the edge *)
            || providers = []
@@ -431,64 +517,113 @@ let delete_edge db view ~sup_name ~sub_name ~connected_to =
       connected_to
   in
   (* phase A: superclasses of C_sup lose C_sub's instances, except those
-     still visible through other paths (the commonSub correction) *)
-  let avoiding = deleted_edge_avoiding graph ~esup:csup ~esub:csub in
-  let still_super_without_edge v = avoiding v csub in
-  let common_sub_view v =
-    let commons =
-      List.filter
-        (fun d -> avoiding v d && avoiding csub d)
-        (View_schema.classes view)
-    in
-    List.filter
-      (fun d ->
-        not
-          (List.exists
-             (fun d' -> (not (Oid.equal d d')) && avoiding d' d)
-             commons))
-      commons
+     still visible through other paths (the commonSub correction). The
+     connected_to class and the classes above it reach C_sub again through
+     the reattachment edge, so they keep C_sub's instances and are not
+     replaced. *)
+  let open_subs = deleted_edge_subs graph ~esup:csup ~esub:csub in
+  let still_super v =
+    reaches open_subs v csub
+    || Option.fold upper ~none:false ~some:(fun u ->
+           Schema_graph.is_ancestor_or_self graph ~anc:v ~desc:u)
   in
-  let super_chain =
+  let replaced =
     let ancs =
       Oid.Set.inter (Schema_graph.ancestors graph csup) (View_schema.class_set view)
     in
-    let in_order =
-      List.filter (fun c -> Oid.Set.mem c ancs) (Schema_graph.topo_order graph)
-    in
-    in_order @ [ csup ]
+    List.filter (fun c -> Oid.Set.mem c ancs) (Schema_graph.topo_order graph) @ [ csup ]
+    |> List.filter (fun v -> not (still_super v))
   in
+  let is_replaced c = List.exists (Oid.equal c) replaced in
+  (* a view class below a replaced class whose extent is derived from one
+     (a partition's select, say) holds C_sub's instances too: it is
+     re-derived from the replacement rather than hung under it. C_sub keeps
+     its own derivation, and its subclasses are phase B's. *)
+  let subs_chain = Generation.descendants_in_view graph view csub in
+  let sub_side = Oid.Set.of_list subs_chain in
+  let reads_replaced =
+    let memo = Oid.Tbl.create 16 in
+    let rec go c =
+      Oid.Tbl.find_or_add memo c (fun c ->
+          (not (Oid.equal c csub))
+          && (is_replaced c
+             || List.exists go (extent_sources (Schema_graph.find_exn graph c))))
+    in
+    go
+  in
+  let rederived =
+    List.filter
+      (fun b ->
+        (not (Oid.Set.mem b sub_side))
+        && (not (is_replaced b))
+        && List.exists
+             (fun v -> Schema_graph.is_strict_ancestor graph ~anc:v ~desc:b)
+             replaced
+        && reads_replaced b)
+      (View_schema.classes view)
+  in
+  (* what [v] keeps of C_sub: the uppermost classes of the global graph
+     below both once the edge is gone (a common subclass outside the view,
+     say the operand of a coalesced class, still carries its instances into
+     [v]), and every other view subclass of [v], whose instances may be
+     C_sub's too *)
+  let below_sub = below open_subs csub in
+  let kept v =
+    let commons =
+      Oid.Set.inter below_sub
+        (below ~stop:(fun d -> Oid.Set.mem d below_sub) open_subs v)
+      |> Oid.Set.elements
+    in
+    let uppermost =
+      List.filter
+        (fun d ->
+          not (List.exists (fun d' -> (not (Oid.equal d d')) && reaches open_subs d' d) commons))
+        commons
+    in
+    uppermost
+    @ List.filter_map
+        (fun b ->
+          if
+            Oid.equal b csub
+            || List.exists (Oid.equal b) rederived
+            || List.exists (Oid.equal b) uppermost
+          then None
+          else Some (map_or_id ctx b))
+        (direct_subs ctx v)
+  in
+  (* bottom-up, so that a replaced view subclass is kept as its
+     replacement. v' = ((v - C_sub) + k1) + ... + kn: each step's first
+     operand is the previous one, so every step is a version of [v] and a
+     later deletion of the edge from [v] to a kept class blocks it. *)
   List.iter
     (fun v ->
-      if not (still_super_without_edge v) then begin
-        let vname = Schema_graph.name_of graph v in
-        let still_visible = common_sub_view v in
-        let d = Ops.difference db ~name:(Ops.fresh_name db (vname ^ "$diff")) v csub in
-        let v' =
-          match still_visible with
-          | [] ->
-            (* nothing to restore: v' is just the difference, under v's
-               primed name *)
-            let v' = d in
-            Schema_graph.rename graph v' (Ops.primed_name db vname);
-            v'
-          | xs ->
-            let x =
-              List.fold_left
-                (fun acc c ->
-                  Ops.union db ~name:(Ops.fresh_name db (vname ^ "$x")) acc c)
-                (List.hd xs) (List.tl xs)
-            in
-            Ops.union db ~name:(Ops.primed_name db vname) d x
-        in
-        map_add ctx ~old_cid:v ~new_cid:v'
-      end)
-    super_chain;
+      let vname = Schema_graph.name_of graph v in
+      let d = Ops.difference db ~name:(Ops.fresh_name db (vname ^ "$diff")) v csub in
+      let rec restore acc = function
+        | [] ->
+          Schema_graph.rename graph acc (Ops.primed_name db vname);
+          acc
+        | [ k ] -> Ops.union db ~name:(Ops.primed_name db vname) acc k
+        | k :: ks -> restore (Ops.union db ~name:(Ops.fresh_name db (vname ^ "$x")) acc k) ks
+      in
+      map_add ctx ~old_cid:v ~new_cid:(restore d (kept v)))
+    (List.rev replaced);
+  let rederive = replayer ~providers:false db ~subst:((csub, csub) :: !(ctx.mapping)) in
+  List.iter
+    (fun b ->
+      let bname = Schema_graph.name_of graph b in
+      let b' =
+        try rederive ~basename:(bname ^ "$r") b
+        with Ops.Error m -> rejected "delete_edge: %s" m
+      in
+      Schema_graph.rename graph b' (Ops.primed_name db bname);
+      map_add ctx ~old_cid:b ~new_cid:b')
+    rederived;
   (* phase B: subclasses of C_sub lose the properties inherited only
      through the deleted edge *)
-  let subs_chain = Generation.descendants_in_view graph view csub in
   List.iter
     (fun w ->
-      let y = view_find_properties db view ~esup:csup ~esub:csub w in
+      let y = view_find_properties db view ~open_subs w in
       if y <> [] then begin
         let w' =
           Ops.hide db ~name:(Ops.primed_name db (Schema_graph.name_of graph w))
@@ -501,9 +636,9 @@ let delete_edge db view ~sup_name ~sub_name ~connected_to =
   (* reattachment when C_sub would be left disconnected in the view *)
   (match upper with
   | Some u ->
-    let u' = map_or_id ctx u and sub' = map_or_id ctx csub in
-    if not (Schema_graph.is_ancestor_or_self graph ~anc:u' ~desc:sub') then
-      Schema_graph.add_edge graph ~sup:u' ~sub:sub'
+    let sub' = map_or_id ctx csub in
+    if not (Schema_graph.is_ancestor_or_self graph ~anc:u ~desc:sub') then
+      Schema_graph.add_edge graph ~sup:u ~sub:sub'
   | None -> ());
   refresh_members ctx;
   finish ctx
@@ -511,57 +646,6 @@ let delete_edge db view ~sup_name ~sub_name ~connected_to =
 (* ------------------------------------------------------------------ *)
 (* 6.7: add_class                                                       *)
 (* ------------------------------------------------------------------ *)
-
-(* Replay the derivation chain of [cid], substituting each origin base
-   class with its fresh empty subclass (Figure 13 (e)). The chain is a
-   DAG: a source shared by several derivations is replayed once. *)
-let replay db ~subst ~basename cid =
-  let graph = Database.graph db in
-  let replayed = Oid.Tbl.create 16 in
-  let rec sub cid =
-    match Oid.Tbl.find_opt replayed cid with
-    | Some c -> c
-    | None ->
-      let c = replay_one cid in
-      Oid.Tbl.replace replayed cid c;
-      c
-  and replay_one cid =
-    let k = Schema_graph.find_exn graph cid in
-    match k.kind with
-    | Klass.Base -> begin
-      match List.assoc_opt (Oid.to_int cid) subst with
-      | Some c -> c
-      | None -> rejected "add_class: origin %s not substituted" k.name
-    end
-    | Klass.Virtual d ->
-      (* the name must be drawn after the sources are replayed, or nested
-         replays would race for the same fresh name *)
-      let fresh () = Ops.fresh_name db basename in
-      (match d with
-      | Klass.Select (c, pred) ->
-        let src = sub c in
-        Ops.select db ~name:(fresh ()) ~src pred
-      | Klass.Hide (ps, c) ->
-        let src = sub c in
-        Ops.hide db ~name:(fresh ()) ~props:ps ~src
-      | Klass.Refine (props, c) ->
-        let src = sub c in
-        Ops.refine db ~name:(fresh ()) ~props ~src
-      | Klass.Refine_from { src; prop_name; target } ->
-        let src = sub src in
-        let target = sub target in
-        Ops.refine_from db ~name:(fresh ()) ~src ~prop_name ~target
-      | Klass.Union (a, b) ->
-        let a = sub a and b = sub b in
-        Ops.union db ~name:(fresh ()) a b
-      | Klass.Intersect (a, b) ->
-        let a = sub a and b = sub b in
-        Ops.intersect db ~name:(fresh ()) a b
-      | Klass.Difference (a, b) ->
-        let a = sub a and b = sub b in
-        Ops.difference db ~name:(fresh ()) a b)
-  in
-  sub cid
 
 let add_class db view ~cls_name ~connected_to =
   let graph = Database.graph db in
@@ -589,21 +673,15 @@ let add_class db view ~cls_name ~connected_to =
                 ~props:[] ~supers:[ origin ]
             in
             Database.note_new_class db x;
-            (Oid.to_int origin, x))
+            (origin, x))
           origins
       in
+      (* a base anchor is its own substitute: the new class itself *)
       let cadd =
-        match Schema_graph.find_exn graph csup with
-        | { Klass.kind = Klass.Base; _ } ->
-          (* base anchor: the substituted class itself is the new class *)
-          let x = List.assoc (Oid.to_int csup) subst in
-          Schema_graph.rename graph x global_name;
-          x
-        | _ ->
-          let c = replay db ~subst ~basename:(cls_name ^ "$r") csup in
-          Schema_graph.rename graph c global_name;
-          c
+        try replayer db ~subst ~basename:(cls_name ^ "$r") csup
+        with Ops.Error m -> rejected "add_class: %s" m
       in
+      Schema_graph.rename graph cadd global_name;
       (* guaranteed subclass (Section 6.7.3): make the view edge real *)
       if not (Schema_graph.is_ancestor_or_self graph ~anc:csup ~desc:cadd) then
         Schema_graph.add_edge graph ~sup:csup ~sub:cadd;
@@ -622,6 +700,13 @@ let delete_class _db view ~cls_name =
   let view' = View_schema.copy view in
   View_schema.remove_class view' cid;
   view'
+
+(* The classifier hands back an existing class for a derivation it already
+   knows; a change may not add a class its view already has. *)
+let not_in_view view what cid =
+  match View_schema.local_name view cid with
+  | Some name -> rejected "%s: the derived class is %s, already in the view" what name
+  | None -> ()
 
 let rec apply db view change =
   match change with
@@ -670,6 +755,7 @@ let rec apply db view change =
         ~name:(Ops.fresh_name db into_false)
         ~src:cid (Expr.Not predicate)
     in
+    List.iter (not_in_view view "partition_class") [ ctrue; cfalse ];
     let view' = View_schema.copy view in
     View_schema.add_class view' ~as_name:into_true graph ctrue;
     View_schema.add_class view' ~as_name:into_false graph cfalse;
@@ -686,6 +772,7 @@ let rec apply db view change =
       try Ops.union db ~name:(Ops.fresh_name db as_name) ca cb
       with Ops.Error m -> rejected "coalesce_classes: %s" m
     in
+    not_in_view view "coalesce_classes" fused;
     let view' = View_schema.copy view in
     View_schema.remove_class view' ca;
     View_schema.remove_class view' cb;

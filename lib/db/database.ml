@@ -10,7 +10,6 @@ module Expr = Tse_schema.Expr
 module Deps = Tse_schema.Deps
 module Invariants = Tse_schema.Invariants
 module Slicing = Tse_objmodel.Slicing
-module Pool = Tse_pool.Pool
 
 type cid = Klass.cid
 
@@ -689,126 +688,12 @@ let admit_class t cid ~prior_ancestors candidates =
             end)
           candidates
 
-(* --- parallel bulk reclassification --------------------------------- *)
-
-let m_par_batches = Metrics.counter "reclass.parallel_batches"
-let m_par_unchanged = Metrics.counter "reclass.parallel_unchanged"
-
-(* Phase-1 result for one object: the outcome of a single membership
-   round evaluated against the pre-batch state, plus the verdicts that
-   round computed fresh (memo hits are not re-recorded, matching
-   [cached_verdict]). *)
-type pre_round = {
-  pv_before : Oid.Set.t;
-  pv_next : Oid.Set.t;
-  pv_new : (cid * bool) list;
-}
-
-(* Workers must never hit the compile-on-miss branch of
-   [compiled_select_pred]: build every select's closure on the
-   coordinator first, so in-region lookups are read-only hits. *)
-let precompile_selects t =
-  List.iter
-    (fun cid ->
-      match (Schema_graph.find_exn t.graph cid).Klass.kind with
-      | Klass.Virtual (Klass.Select (_, pred)) ->
-        ignore (compiled_select_pred t cid pred : Oid.t -> bool)
-      | Klass.Base | Klass.Virtual _ -> ())
-    (derivation_order t)
-
-(* One membership round for [o], read-only against shared state: verdict
-   memos are probed but never written (fresh verdicts go into a local
-   table and the returned list), so any number of objects can run this
-   concurrently.  Predicates only ever read the object they are applied
-   to — the Expr language has no cross-object dereference — which is
-   what makes per-object rounds independent. *)
-let pre_round t o =
-  let before = membership_set t o in
-  let base_closure = isa_closure t (base_membership t o) in
-  let order = derivation_order t in
-  let shared =
-    Option.map (fun vs -> vs.verdicts)
-      (Oid.Tbl.find_opt (memos t).verdict_cache o)
-  in
-  let local = Oid.Tbl.create 8 in
-  let fresh = ref [] in
-  let pred_fn cid pred =
-    match Oid.Tbl.find_opt local cid with
-    | Some b -> b
-    | None ->
-      let memo =
-        match shared with
-        | Some tbl -> Oid.Tbl.find_opt tbl cid
-        | None -> None
-      in
-      let b =
-        match memo with
-        | Some b ->
-          Metrics.incr m_memo_hits;
-          b
-        | None ->
-          let b = eval_pred_compiled t o cid pred in
-          fresh := (cid, b) :: !fresh;
-          b
-      in
-      Oid.Tbl.replace local cid b;
-      b
-  in
-  let next = membership_round t ~pred_fn ~base_closure ~order in
-  { pv_before = before; pv_next = next; pv_new = List.rev !fresh }
-
-(* Merge one phase-1 result on the coordinating domain, in input order.
-   Unchanged objects replay exactly what the sequential fixpoint would
-   have done for them — memo writes, primed flag, counters, and the
-   [Reclassified] event, with no model or extent mutation.  Changed
-   objects seed their memo with the phase-1 verdicts (still valid: they
-   were computed under the same pre-batch membership the sequential
-   round 1 would use) and run the ordinary incremental engine. *)
-let integrate_pre t o pre =
-  let vs = verdict_state t o in
-  List.iter (fun (cid, b) -> Oid.Tbl.replace vs.verdicts cid b) pre.pv_new;
-  if Oid.Set.equal pre.pv_next pre.pv_before then begin
-    vs.primed <- true;
-    Metrics.incr m_par_unchanged;
-    Metrics.incr m_objects_visited;
-    Metrics.incr m_rounds;
-    notify t (Reclassified o)
-  end
-  else reclassify_incr t o None
-
-(* Bulk reclassification of [os], in list order.  Below the parallel
-   threshold — or with a single-domain pool, or under the oracle — this
-   IS the sequential loop; above it, per-object verdict rounds fan out
-   across the pool (phase 1, read-only) and are integrated one by one on
-   the coordinating domain (phase 2: memo merges, model/extent mutation,
-   events), preserving the sequential event order exactly. *)
-let reclassify_many t os =
-  let pool = Pool.global () in
-  let n = List.length os in
-  if t.full_reclassify || Pool.size pool <= 1 || n < Pool.threshold () then
-    List.iter (fun o -> reclassify t o) os
-  else begin
-    Tse_obs.Trace.with_span "reclassify.parallel" @@ fun () ->
-    Metrics.incr m_par_batches;
-    precompile_selects t;
-    let objs = Array.of_list os in
-    let pres = Array.make n None in
-    with_shared_read t (fun () ->
-        Pool.run pool ~n (fun ~lo ~hi ->
-            for i = lo to hi - 1 do
-              pres.(i) <- Some (pre_round t objs.(i))
-            done));
-    Array.iteri
-      (fun i pre -> integrate_pre t objs.(i) (Option.get pre))
-      pres
-  end
-
 (* The recompute-the-world entry point: it starts from cold verdict memos,
    so it also repairs memberships that went stale behind the kernel's
    back (slot writes straight to the heap). *)
 let reclassify_all t =
   reset_verdicts t;
-  reclassify_many t (objects t)
+  List.iter (reclassify t) (objects t)
 
 (* ------------------------------------------------------------------ *)
 (* Object lifecycle                                                    *)

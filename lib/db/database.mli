@@ -98,16 +98,6 @@ val reclassify_all : t -> unit
     select predicate is evaluated afresh, so memberships that went stale
     behind the kernel's back (direct heap writes) are repaired too. *)
 
-val reclassify_many : t -> Tse_store.Oid.t list -> unit
-(** Reclassify every object in the list, in list order.  Equivalent to
-    [List.iter (reclassify t)] — and literally that loop below the
-    parallel threshold, under the oracle, or with a single-domain pool.
-    Above the threshold the per-object verdict rounds are evaluated in
-    parallel across the global {!Tse_pool.Pool} (read-only phase) and
-    integrated one object at a time on the calling domain (memo merges,
-    model and extent mutation, events), preserving the sequential event
-    order exactly. *)
-
 val with_shared_read : t -> (unit -> 'a) -> 'a
 (** Run [f] in shared-read mode: concurrent read-only evaluation from
     other domains is safe for its duration.  Warms every schema memo

@@ -394,7 +394,10 @@ let prop_incremental_equals_oracle =
    mode, are driven through the same random chain of view evolutions
    (whose translations admit Select, Refine, Refine_from, Hide, Union and
    Difference classes), and compared fact by fact after every step:
-   memberships, extents, property reads and Database.check. *)
+   memberships, extents and property reads. Both twins must be
+   consistent, and since every edge a translation adds holds in the
+   extents, a full fixpoint over every object of the incremental twin
+   must move nothing. *)
 let prop_admission_equals_oracle =
   QCheck.Test.make
     ~name:"class admission == full-fixpoint oracle over evolutions" ~count:25
@@ -437,7 +440,23 @@ let prop_admission_equals_oracle =
           | Some a -> Change.Delete_attribute { cls = c1; attr_name = a }
           | None -> Change.Add_method { cls = c1; method_name = fresh "m"; body = Expr.int 1 })
         | 2 -> Change.Add_edge { sup = c1; sub = c2 }
-        | 3 -> Change.Delete_edge { sup = c1; sub = c2; connected_to = None }
+        | 3 ->
+          (* reattach to a view superclass of [c1] half the time *)
+          let connected_to =
+            let v = Tsem.current inc_tsem "V" in
+            let g = Database.graph inc.db in
+            let sup = Tse_views.View_schema.cid_of_exn v c1 in
+            match
+              List.filter
+                (fun c ->
+                  Schema_graph.is_strict_ancestor g
+                    ~anc:(Tse_views.View_schema.cid_of_exn v c) ~desc:sup)
+                (Array.to_list ns)
+            with
+            | [] -> None
+            | ups -> if Random.State.bool rng then Some (pick (Array.of_list ups)) else None
+          in
+          Change.Delete_edge { sup = c1; sub = c2; connected_to }
         | 4 ->
           let predicate =
             match attr_of c1 with
@@ -449,6 +468,11 @@ let prop_admission_equals_oracle =
         | 5 -> Change.Insert_class { cls = fresh "I"; sup = c1; sub = c2 }
         | _ -> Change.Coalesce_classes { a = c1; b = c2; as_name = fresh "U" }
       in
+      (* membership moves the full fixpoint still finds after a step *)
+      let moved = ref 0 in
+      Database.add_listener inc.db (function
+        | Database.Membership_delta _ -> incr moved
+        | _ -> ());
       let accepts tsem change =
         match Tsem.evolve tsem ~view:"V" change with
         | _ -> true
@@ -465,23 +489,28 @@ let prop_admission_equals_oracle =
         if i = 0 then true
         else begin
           let change = random_change () in
+          let step = Change.to_string change in
           if accepts inc_tsem change <> accepts ora_tsem change then
-            QCheck.Test.fail_report "twins disagree on accepting a step"
+            QCheck.Test.fail_reportf "twins disagree on accepting %s" step
           else if membership_facts inc.db <> membership_facts ora.db then
-            QCheck.Test.fail_report "membership/extent facts diverged"
+            QCheck.Test.fail_reportf "membership/extent facts diverged after %s" step
           else if props inc <> props ora then
-            QCheck.Test.fail_report "property reads diverged"
+            QCheck.Test.fail_reportf "property reads diverged after %s" step
           else
-            (* the twins must agree on consistency too: admission may add no
-               problem of its own. Both can be inconsistent at once: on some
-               seeds delete_edge stitches a select class derived from C_sup
-               below C_sup's difference class, against its derivation, in
-               either mode (ROADMAP, known bugs) *)
-            let p = Database.check inc.db and p' = Database.check ora.db in
-            if p <> p' then
-              QCheck.Test.fail_reportf "consistency diverged:@.%s@.vs oracle:@.%s"
-                (String.concat "\n" p) (String.concat "\n" p')
-            else go (i - 1)
+            match Database.check inc.db, Database.check ora.db with
+            | [], [] ->
+              (* every edge the translation added held in the extents, so
+                 the fixpoint over every object moves nothing *)
+              moved := 0;
+              Database.reclassify_all inc.db;
+              if !moved > 0 then
+                QCheck.Test.fail_reportf "reclassify_all moved %d objects after %s"
+                  !moved step
+              else go (i - 1)
+            | p, p' ->
+              QCheck.Test.fail_reportf "inconsistent after %s:@.%s@.oracle:@.%s"
+                step (String.concat "\n" p)
+                (String.concat "\n" p')
         end
       in
       go 10)
@@ -563,7 +592,7 @@ let prop_apply_keeps_old_view_edges =
               QCheck.Test.fail_reportf "%s changed the old view's hierarchy"
                 (Change.to_string change)
             else go (i - 1) view'
-          | exception (Change.Rejected _ | Tse_algebra.Ops.Error _) -> go (i - 1) view
+          | exception Change.Rejected _ -> go (i - 1) view
         end
       in
       go 15

@@ -409,6 +409,138 @@ let test_delete_edge_connected_to () =
   ignore fx;
   ignore v1
 
+(* Every edge a translation adds holds in the extents: the database is
+   consistent, and the full fixpoint over every object moves nothing. *)
+let check_settled db =
+  Alcotest.(check (list string)) "consistent" [] (Database.check db);
+  let moved = ref 0 in
+  Database.add_listener db (function
+    | Database.Membership_delta _ -> incr moved
+    | _ -> ());
+  Database.reclassify_all db;
+  check Alcotest.int "reclassify_all moves nothing" 0 !moved
+
+let evolve_all fx ~names changes =
+  ignore (Tsem.define_view_by_names fx.tsem ~name:"VS" names);
+  List.fold_left (fun _ c -> Tsem.evolve fx.tsem ~view:"VS" c) (Tsem.current fx.tsem "VS")
+    changes
+
+(* A partition of C_sup is derived from it, so it holds C_sub's instances:
+   it is re-derived from C_sup's replacement rather than hung under it. *)
+let test_delete_edge_rederives_partition () =
+  let fx = fixture () in
+  let v1 =
+    evolve_all fx ~names:[ "Person"; "Student"; "Staff" ]
+      [
+        Change.Partition_class
+          {
+            cls = "Person";
+            predicate = Expr.(attr "age" >= int 30);
+            into_true = "Senior";
+            into_false = "Junior";
+          };
+        Change.Delete_edge { sup = "Person"; sub = "Student"; connected_to = None };
+      ]
+  in
+  let db = fx.uni.db in
+  check_settled db;
+  let ext n = Database.extent db (View_schema.cid_of_exn v1 n) in
+  let pure_students =
+    Oid.Set.diff (Database.extent db fx.uni.student) (Database.extent db fx.uni.staff)
+  in
+  Alcotest.(check bool) "pure students left Person" true
+    (Oid.Set.is_empty (Oid.Set.inter pure_students (ext "Person")));
+  Alcotest.(check bool) "the partition still covers Person" true
+    (Oid.Set.equal (Oid.Set.union (ext "Senior") (ext "Junior")) (ext "Person"));
+  Oid.Set.iter
+    (fun o ->
+      let senior = Value.compare (Database.get_prop db o "age") (Value.Int 30) >= 0 in
+      Alcotest.(check bool) "Senior is Person's age >= 30 part" senior
+        (Oid.Set.mem o (ext "Senior")))
+    (ext "Person")
+
+(* A coalesced class's operands leave the view, but TA is still a common
+   subclass of Person and GradTA through TeachingStaff: its instances stay
+   in Person. Grads reach Person only through the deleted edge (coalescing
+   made Student-Grad redundant), so they leave it. *)
+let test_delete_edge_common_sub_outside_view () =
+  let fx = fixture () in
+  let v1 =
+    evolve_all fx ~names:[ "Person"; "Student"; "Grad"; "TA" ]
+      [
+        Change.Coalesce_classes { a = "Grad"; b = "TA"; as_name = "GradTA" };
+        Change.Delete_edge { sup = "Student"; sub = "GradTA"; connected_to = None };
+      ]
+  in
+  let db = fx.uni.db in
+  check_settled db;
+  let graph = Database.graph db in
+  let cid n = View_schema.cid_of_exn v1 n in
+  Alcotest.(check bool) "TAs stay in Person, Grads leave it" true
+    (Oid.Set.equal
+       (Oid.Set.diff (Database.extent db fx.uni.person) (Database.extent db fx.uni.grad))
+       (Database.extent db (cid "Person")));
+  Alcotest.(check bool) "no Student-GradTA edge" false
+    (List.mem (cid "Student", cid "GradTA") (Generation.edges graph v1))
+
+(* With connected_to, Person reaches Grad again through the new edge: it
+   keeps Grad's instances and is not replaced by a difference. *)
+let test_delete_edge_reattached_upper_kept () =
+  let fx = fixture () in
+  let v1 =
+    evolve_all fx ~names:[ "Person"; "Student"; "Grad" ]
+      [ Change.Delete_edge { sup = "Student"; sub = "Grad"; connected_to = Some "Person" } ]
+  in
+  let db = fx.uni.db in
+  check_settled db;
+  let graph = Database.graph db in
+  let cid n = View_schema.cid_of_exn v1 n in
+  Alcotest.(check bool) "Person not replaced" true (Oid.equal fx.uni.person (cid "Person"));
+  Alcotest.(check bool) "Grads left Student" true
+    (Oid.Set.equal
+       (Oid.Set.diff (Database.extent db fx.uni.student) (Database.extent db fx.uni.grad))
+       (Database.extent db (cid "Student")));
+  Alcotest.(check bool) "Person-Grad edge" true
+    (List.mem (cid "Person", cid "Grad") (Generation.edges graph v1))
+
+(* The classifier hands back an existing class for a known derivation; a
+   partition or coalescing that would add a class its view already has is
+   rejected. *)
+let test_duplicate_partition_and_coalesce_rejected () =
+  let fx = fixture () in
+  let v1 =
+    evolve_all fx ~names:[ "Person"; "Student"; "Staff" ]
+      [
+        Change.Partition_class
+          {
+            cls = "Person";
+            predicate = Expr.(attr "age" >= int 30);
+            into_true = "Senior";
+            into_false = "Junior";
+          };
+      ]
+  in
+  let rejects view change =
+    match Tsem.evolve fx.tsem ~view change with
+    | _ -> Alcotest.failf "accepted %s" (Change.to_string change)
+    | exception Change.Rejected _ -> ()
+  in
+  rejects "VS"
+    (Change.Partition_class
+       {
+         cls = "Person";
+         predicate = Expr.(attr "age" >= int 30);
+         into_true = "Old";
+         into_false = "Young";
+       });
+  ignore
+    (Tse_algebra.Ops.union fx.uni.db ~name:"Members" fx.uni.student fx.uni.staff);
+  ignore
+    (Tsem.define_view_by_names fx.tsem ~name:"VM" [ "Person"; "Student"; "Staff"; "Members" ]);
+  rejects "VM" (Change.Coalesce_classes { a = "Student"; b = "Staff"; as_name = "Both" });
+  Alcotest.(check bool) "VS unchanged" true (Tsem.current fx.tsem "VS" == v1);
+  Alcotest.(check (list string)) "consistent" [] (Database.check fx.uni.db)
+
 (* ------------------------------------------------------------------ *)
 (* 6.7 add_class (Figure 12), 6.9 insert_class / delete_class_2         *)
 (* ------------------------------------------------------------------ *)
@@ -497,6 +629,31 @@ let test_add_class_replays_shared_sources_once () =
   Alcotest.(check bool) "subclass of the anchor" true
     (Schema_graph.is_strict_ancestor graph ~anc:top ~desc:cadd);
   Alcotest.(check (list string)) "consistent" [] (Database.check db)
+
+(* The anchor hides [a1], which its source inherits through an edge its
+   derivation does not name, so the replayed source lacks it: the replay
+   fails, and the change is a rejection. *)
+let test_add_class_failing_replay_rejected () =
+  let db = Database.create () in
+  let g = Database.graph db in
+  let base name props =
+    let c = Schema_graph.register_base g ~name ~props ~supers:[] in
+    Database.note_new_class db c;
+    c
+  in
+  let a = base "A" [ Prop.stored ~origin:(Oid.of_int 0) "a1" Value.TInt ] in
+  let b = base "B" [] in
+  let s = Tse_algebra.Ops.select db ~name:"S" ~src:b (Expr.bool true) in
+  Schema_graph.add_edge g ~sup:a ~sub:s;
+  ignore (Tse_algebra.Ops.hide db ~name:"H" ~props:[ "a1" ] ~src:s);
+  let tsem = Tsem.of_database db in
+  ignore (Tsem.define_view_by_names tsem ~name:"V" [ "B"; "H" ]);
+  match
+    Tsem.evolve tsem ~view:"V" (Change.Add_class { cls = "N"; connected_to = Some "H" })
+  with
+  | _ -> Alcotest.fail "accepted"
+  | exception Change.Rejected _ ->
+    Alcotest.(check (list string)) "consistent" [] (Database.check db)
 
 let test_insert_class_fig14 () =
   let fx, v1 =
@@ -735,12 +892,22 @@ let suite =
       test_common_sub_fig11;
     Alcotest.test_case "delete_edge: connected_to" `Quick
       test_delete_edge_connected_to;
+    Alcotest.test_case "delete_edge: partition re-derived" `Quick
+      test_delete_edge_rederives_partition;
+    Alcotest.test_case "delete_edge: commonSub outside the view" `Quick
+      test_delete_edge_common_sub_outside_view;
+    Alcotest.test_case "delete_edge: reattached upper class kept" `Quick
+      test_delete_edge_reattached_upper_kept;
+    Alcotest.test_case "partition/coalesce: duplicates rejected" `Quick
+      test_duplicate_partition_and_coalesce_rejected;
     Alcotest.test_case "add_class: Proposition A (base anchor)" `Quick
       test_add_class_base_anchor_prop_a;
     Alcotest.test_case "add_class: virtual anchor (Fig 12/13)" `Quick
       test_add_class_fig12_virtual_anchor;
     Alcotest.test_case "add_class: shared sources replayed once" `Quick
       test_add_class_replays_shared_sources_once;
+    Alcotest.test_case "add_class: failing replay is a rejection" `Quick
+      test_add_class_failing_replay_rejected;
     Alcotest.test_case "insert_class: Figure 14" `Quick test_insert_class_fig14;
     Alcotest.test_case "delete_class: view-only removal" `Quick
       test_delete_class_removes_from_view_only;
